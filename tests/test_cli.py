@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -569,6 +570,38 @@ def test_repeated_runs_are_byte_identical(capsys):
 
     argv = ["trees", "--family", "cycle", "--n", "5", "--rule", "edge", "--no-banner"]
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            "--family cycle --n 5 --rule connected --timed --format json",
+            166,
+            "8a3605eebaec9444d34e0a72d51a217351d47ada032c01a3fe678bee66916868",
+        ),
+        (
+            "--family cycle --n 5 --rule connected --timed --format dot",
+            2958,
+            "0dabadbadf273327f06a43623051d1f9dbfec0c671faebcd519df148893aca72",
+        ),
+        (
+            "--family complete --n 4 --rule edge --format json",
+            15,
+            "09bf6f5261ada0977b1b2358e6d01e14f341709b30795841d030b85d9b0b77dd",
+        ),
+        (
+            "--family complete --n 4 --rule none --timed --format dot",
+            456,
+            "7b9841d0c7d6c0d9c13a6a153089a55a89de060152438884ce05d3abc3bab0a8",
+        ),
+    ],
+)
+def test_trees_output_is_pinned(capsys, argv, lines, digest):
+    code, out, err = run_cli(capsys, "trees", *argv.split(), "--no-banner", "--no-cache")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bfile_fixtures_match_their_generator(tmp_path):
