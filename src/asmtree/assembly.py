@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -52,12 +52,17 @@ class GluingRule(Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssemblyTree:
-    """One node of an assembly tree; a leaf when `children` is empty."""
+    """One node of an assembly tree; a leaf when `children` is empty.
+
+    `time` is the node's build time in a timed tree and None on every node
+    of an untimed one.
+    """
 
     label: frozenset[int]
     children: tuple["AssemblyTree", ...] = ()
+    time: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -69,64 +74,39 @@ class AssemblyTree:
         for child in self.children:
             yield from child.walk()
 
-
-@dataclass(frozen=True)
-class TimedAssemblyTree:
-    """An assembly tree node with a build time attached."""
-
-    label: frozenset[int]
-    time: int
-    children: tuple["TimedAssemblyTree", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def walk(self) -> Iterator["TimedAssemblyTree"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def untimed(self) -> AssemblyTree:
+    def untimed(self) -> "AssemblyTree":
         """The same tree with the time stamps dropped."""
         return AssemblyTree(self.label, tuple(c.untimed() for c in self.children))
-
-
-AnyTree = Union[AssemblyTree, TimedAssemblyTree]
 
 
 def leaf(v: int) -> AssemblyTree:
     return AssemblyTree(frozenset((v,)))
 
 
-def branch(children: Iterable[AssemblyTree]) -> AssemblyTree:
-    """Internal node over the given subtrees. The label is their union and
-    the children are stored in canonical order (ascending minimum vertex).
+def timed_leaf(v: int) -> AssemblyTree:
+    return AssemblyTree(frozenset((v,)), time=0)
+
+
+def branch(children: Iterable[AssemblyTree], time: int | None = None) -> AssemblyTree:
+    """Internal node over the given subtrees, built at `time` in a timed
+    tree or with time None in an untimed one. The label is their union and
+    the children are stored in canonical order (ascending minimum vertex);
+    timed children must already be strictly earlier.
     """
     kids = tuple(sorted(children, key=lambda c: min(c.label)))
     if len(kids) < 2:
         raise ValueError("an internal node needs at least two children")
-    label = frozenset().union(*(c.label for c in kids))
-    if len(label) != sum(len(c.label) for c in kids):
-        raise ValueError("children labels overlap")
-    return AssemblyTree(label, kids)
-
-
-def timed_leaf(v: int) -> TimedAssemblyTree:
-    return TimedAssemblyTree(frozenset((v,)), 0)
-
-
-def timed_branch(children: Iterable[TimedAssemblyTree], time: int) -> TimedAssemblyTree:
-    """Internal timed node; children must already be strictly earlier."""
-    kids = tuple(sorted(children, key=lambda c: min(c.label)))
-    if len(kids) < 2:
-        raise ValueError("an internal node needs at least two children")
-    if any(c.time >= time for c in kids):
+    if any((c.time is None) != (time is None) for c in kids):
+        raise ValueError("timed and untimed nodes cannot mix")
+    if time is not None and any(c.time >= time for c in kids):
         raise ValueError("children must be strictly earlier than their parent")
     label = frozenset().union(*(c.label for c in kids))
     if len(label) != sum(len(c.label) for c in kids):
         raise ValueError("children labels overlap")
-    return TimedAssemblyTree(label, time, kids)
+    return AssemblyTree(label, kids, time)
+
+
+timed_branch = branch
 
 
 def _as_rule(rule: GluingRule | str) -> GluingRule:
@@ -157,25 +137,14 @@ def _two_splits(mask: int) -> Iterator[tuple[int, int]]:
 
 def _partitions_ge1(mask: int) -> Iterator[tuple[int, ...]]:
     """Set partitions of the masked set into any number of blocks, each
-    exactly once, blocks listed by ascending minimum vertex."""
+    exactly once, blocks listed by ascending minimum vertex. The single
+    block comes last."""
     if mask == 0:
         yield ()
         return
     low = mask & -mask
     rest = mask ^ low
     for sub in _submasks(rest):
-        first = low | sub
-        for others in _partitions_ge1(mask ^ first):
-            yield (first, *others)
-
-
-def _partitions_ge2(mask: int) -> Iterator[tuple[int, ...]]:
-    """Set partitions with at least two blocks."""
-    low = mask & -mask
-    rest = mask ^ low
-    for sub in _submasks(rest):
-        if sub == rest:
-            return
         first = low | sub
         for others in _partitions_ge1(mask ^ first):
             yield (first, *others)
@@ -232,7 +201,9 @@ def _build_trees(g, rule, mask, memo) -> Iterator[AssemblyTree]:
         return
     if rule is GluingRule.CONNECTED and not connected_mask(g, mask):
         return
-    for blocks in _partitions_ge2(mask):
+    for blocks in _partitions_ge1(mask):
+        if len(blocks) == 1:
+            return  # the single block, listed last, is not a branching
         if rule is GluingRule.CONNECTED and not all(
             b & (b - 1) == 0 or connected_mask(g, b) for b in blocks
         ):
@@ -256,6 +227,8 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     full = g.full_mask()
     if rule is GluingRule.EDGE:
         return _count_edge(g, full, {})
+    if g.n == 1:
+        return 1
 
     if rule is GluingRule.NONE:
         def label_ok(m: int) -> bool:
@@ -265,66 +238,42 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
         def label_ok(m: int) -> bool:
             hit = conn.get(m)
             if hit is None:
-                hit = conn[m] = m & (m - 1) == 0 or connected_mask(g, m)
+                hit = conn[m] = connected_mask(g, m)
             return hit
 
-    return _count_split(full, label_ok, {}, {})
+    return _forests(full, label_ok, {}) >> 1
 
 
-def _count_split(
-    mask: int,
-    label_ok,
-    tree_memo: dict[int, int],
-    forest_memo: dict[int, int],
-) -> int:
-    """Trees rooted at the masked set: partitions into >= 2 admissible
-    blocks, product of block counts."""
+def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
+    """F(S): partitions of the masked set S into admissible blocks, summing
+    the product of the blocks' tree counts T.
+
+    The trees rooted at S are its partitions into >= 2 blocks, so for
+    |S| >= 2, T(S) = ok(S) * (F(S) - T(S)): F(S) also counts S as a single
+    block, which contributes T(S). An admissible S therefore has
+    F(S) = 2 T(S), and T(S) = F(S) >> 1; a singleton has T = F = 1.
+    """
     if mask & (mask - 1) == 0:
         return 1
-    cached = tree_memo.get(mask)
+    cached = memo.get(mask)
     if cached is not None:
         return cached
-    total = 0
-    if label_ok(mask):
-        low = mask & -mask
-        rest = mask ^ low
-        for sub in _submasks(rest):
-            if sub == rest:
-                break  # the single-block split is not a branching
-            first = low | sub
-            if not label_ok(first):
-                continue
-            total += _count_split(first, label_ok, tree_memo, forest_memo) * _count_forest(
-                mask ^ first, label_ok, tree_memo, forest_memo
-            )
-    tree_memo[mask] = total
-    return total
-
-
-def _count_forest(
-    mask: int,
-    label_ok,
-    tree_memo: dict[int, int],
-    forest_memo: dict[int, int],
-) -> int:
-    """Partitions of the masked set into >= 1 admissible blocks, summing
-    the product of per-block tree counts."""
-    if mask == 0:
-        return 1
-    cached = forest_memo.get(mask)
-    if cached is not None:
-        return cached
-    total = 0
     low = mask & -mask
     rest = mask ^ low
-    for sub in _submasks(rest):
+    total = _forests(rest, label_ok, memo)  # the lowest vertex as a singleton
+    sub = rest & -rest
+    # The other blocks holding the lowest vertex, bar S itself (added below),
+    # stepping through the nonempty proper submasks of rest as in _submasks.
+    while sub != rest:
         first = low | sub
-        if not label_ok(first):
-            continue
-        total += _count_split(first, label_ok, tree_memo, forest_memo) * _count_forest(
-            mask ^ first, label_ok, tree_memo, forest_memo
-        )
-    forest_memo[mask] = total
+        if label_ok(first):
+            total += (_forests(first, label_ok, memo) >> 1) * _forests(
+                mask ^ first, label_ok, memo
+            )
+        sub = (sub - rest) & rest
+    if label_ok(mask):
+        total *= 2
+    memo[mask] = total
     return total
 
 
@@ -361,6 +310,19 @@ def _internal_index(t: AssemblyTree) -> tuple[list[AssemblyTree], list[int]]:
     return order, masks
 
 
+def _rounds(child_masks: list[int], placed: int) -> Iterator[int]:
+    """The rounds that can follow once the nodes in `placed` are stamped:
+    every nonempty subset of the nodes whose internal children are all
+    stamped."""
+    ready = 0
+    for i, m in enumerate(child_masks):
+        if not placed >> i & 1 and m & ~placed == 0:
+            ready |= 1 << i
+    for pick in _submasks(ready):
+        if pick:
+            yield pick
+
+
 def count_level_assignments(t: AssemblyTree) -> int:
     """Number of time stampings that turn t into a valid timed tree.
 
@@ -371,24 +333,15 @@ def count_level_assignments(t: AssemblyTree) -> int:
     the set of already-stamped nodes.
     """
     _, child_masks = _internal_index(t)
-    k = len(child_masks)
-    full = (1 << k) - 1
-    memo = {full: 1}
+    memo = {(1 << len(child_masks)) - 1: 1}
 
     def fill(placed: int) -> int:
         cached = memo.get(placed)
-        if cached is not None:
-            return cached
-        ready = 0
-        for i in range(k):
-            if not placed >> i & 1 and child_masks[i] & ~placed == 0:
-                ready |= 1 << i
-        total = 0
-        for pick in _submasks(ready):
-            if pick:
-                total += fill(placed | pick)
-        memo[placed] = total
-        return total
+        if cached is None:
+            cached = memo[placed] = sum(
+                fill(placed | pick) for pick in _rounds(child_masks, placed)
+            )
+        return cached
 
     return fill(0)
 
@@ -396,20 +349,13 @@ def count_level_assignments(t: AssemblyTree) -> int:
 def _level_assignments(t: AssemblyTree) -> Iterator[dict[frozenset[int], int]]:
     """Yield every valid time map for the internal nodes of t."""
     order, child_masks = _internal_index(t)
-    k = len(child_masks)
-    full = (1 << k) - 1
+    full = (1 << len(child_masks)) - 1
 
     def build(placed: int, next_time: int, times: dict) -> Iterator[dict]:
         if placed == full:
             yield dict(times)
             return
-        ready = 0
-        for i in range(k):
-            if not placed >> i & 1 and child_masks[i] & ~placed == 0:
-                ready |= 1 << i
-        for pick in _submasks(ready):
-            if not pick:
-                continue
+        for pick in _rounds(child_masks, placed):
             for i in iter_bits(pick):
                 times[order[i - 1].label] = next_time
             yield from build(placed | pick, next_time + 1, times)
@@ -419,16 +365,16 @@ def _level_assignments(t: AssemblyTree) -> Iterator[dict[frozenset[int], int]]:
     yield from build(0, 1, {})
 
 
-def _stamp(node: AssemblyTree, times: dict[frozenset[int], int]) -> TimedAssemblyTree:
+def _stamp(node: AssemblyTree, times: dict[frozenset[int], int]) -> AssemblyTree:
     if not node.children:
-        return TimedAssemblyTree(node.label, 0)
+        return AssemblyTree(node.label, time=0)
     kids = tuple(_stamp(c, times) for c in node.children)
-    return TimedAssemblyTree(node.label, times[node.label], kids)
+    return AssemblyTree(node.label, kids, times[node.label])
 
 
 def enumerate_timed_trees(
     g: Graph, rule: GluingRule | str, *, limit: int | None = None
-) -> Iterator[TimedAssemblyTree]:
+) -> Iterator[AssemblyTree]:
     """Yield every timed assembly tree once: every plain tree combined
     with each of its valid time stampings. Deterministic order; same cap
     as enumerate_trees."""
@@ -516,14 +462,14 @@ def _merge_rounds(
         yield frozenset(after)
 
 
-def frontier_partition(t: TimedAssemblyTree, j: int) -> frozenset[frozenset[int]]:
+def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
     """The vertex partition formed at time j: labels of nodes with time
     <= j that are maximal under inclusion."""
     if j < 0 or j > t.time:
         raise ValueError(f"time {j} outside 0..{t.time}")
     blocks = []
 
-    def collect(node: TimedAssemblyTree) -> None:
+    def collect(node: AssemblyTree) -> None:
         if node.time <= j:
             # Descendants are strictly earlier, hence never maximal.
             blocks.append(node.label)
@@ -539,7 +485,7 @@ def _set_str(label: Iterable[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(label)) + "}"
 
 
-def validation_errors(g: Graph, t: AnyTree, rule: GluingRule | str) -> list[str]:
+def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list[str]:
     """Why t fails to be a valid (timed) assembly tree of g under the rule;
     an empty list means valid.
 
@@ -549,11 +495,16 @@ def validation_errors(g: Graph, t: AnyTree, rule: GluingRule | str) -> list[str]
     """
     rule = _as_rule(rule)
     errors: list[str] = []
-    timed = isinstance(t, TimedAssemblyTree)
+    timed = t.time is not None
     universe = g.vertices()
 
     if t.label != universe:
         errors.append(f"root: label {_set_str(t.label)} is not the full vertex set")
+    mixed = [node for node in t.walk() if (node.time is not None) != timed]
+    for node in mixed:
+        errors.append(f"node {_set_str(node.label)}: timed and untimed nodes mix")
+    # The time checks below compare times, so they need one on every node.
+    timed = timed and not mixed
 
     leaf_labels: list[frozenset[int]] = []
     for node in t.walk():
@@ -613,27 +564,27 @@ def validation_errors(g: Graph, t: AnyTree, rule: GluingRule | str) -> list[str]
     return errors
 
 
-def validate(g: Graph, t: AnyTree, rule: GluingRule | str) -> bool:
+def validate(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> bool:
     """True iff t is a valid (timed) assembly tree of g under the rule."""
     return not validation_errors(g, t, rule)
 
 
-def tree_to_dict(t: AnyTree) -> dict:
+def tree_to_dict(t: AssemblyTree) -> dict:
     """Plain-dict form: {"label": [...], ("time": ...,) "children": [...]}."""
     out: dict = {"label": sorted(t.label)}
-    if isinstance(t, TimedAssemblyTree):
+    if t.time is not None:
         out["time"] = t.time
     out["children"] = [tree_to_dict(c) for c in t.children]
     return out
 
 
-def tree_from_dict(data: object) -> AnyTree:
+def tree_from_dict(data: object) -> AssemblyTree:
     """Inverse of tree_to_dict; malformed input raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("tree JSON must be an object")
     timed = "time" in data
 
-    def build(d: object) -> AnyTree:
+    def build(d: object) -> AssemblyTree:
         if not isinstance(d, dict):
             raise ValueError("every tree node must be an object")
         raw_label = d.get("label")
@@ -645,16 +596,14 @@ def tree_from_dict(data: object) -> AnyTree:
         if not isinstance(raw_children, list):
             raise ValueError('"children" must be a list')
         kids = tuple(build(c) for c in raw_children)
-        if timed:
-            if not isinstance(d["time"], int):
-                raise ValueError(f'"time" must be an int, got {d["time"]!r}')
-            return TimedAssemblyTree(frozenset(raw_label), d["time"], kids)  # type: ignore[arg-type]
-        return AssemblyTree(frozenset(raw_label), kids)  # type: ignore[arg-type]
+        if timed and not isinstance(d["time"], int):
+            raise ValueError(f'"time" must be an int, got {d["time"]!r}')
+        return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
     return build(data)
 
 
-def serialize_tree(t: AnyTree, fmt: str = "json") -> str:
+def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
     """Canonical text form of a tree: single-line JSON or a DOT digraph.
 
     Node labels render as "{1,2,3}" with "@time" appended for timed trees.
@@ -666,7 +615,7 @@ def serialize_tree(t: AnyTree, fmt: str = "json") -> str:
     raise ValueError(f"unknown tree format {fmt!r}")
 
 
-def parse_tree(text: str) -> AnyTree:
+def parse_tree(text: str) -> AssemblyTree:
     """Inverse of serialize_tree(..., "json")."""
     try:
         data = json.loads(text)
@@ -675,14 +624,14 @@ def parse_tree(text: str) -> AnyTree:
     return tree_from_dict(data)
 
 
-def _to_dot(t: AnyTree) -> str:
+def _to_dot(t: AssemblyTree) -> str:
     lines = ["digraph assembly_tree {"]
     counter = iter(range(10**9))
 
-    def emit(node: AnyTree) -> int:
+    def emit(node: AssemblyTree) -> int:
         me = next(counter)
         tag = _set_str(node.label)
-        if isinstance(node, TimedAssemblyTree):
+        if node.time is not None:
             tag += f"@{node.time}"
         lines.append(f'  n{me} [label="{tag}"];')
         for child in node.children:

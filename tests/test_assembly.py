@@ -5,7 +5,6 @@ import pytest
 
 from asmtree.assembly import (
     AssemblyTree,
-    TimedAssemblyTree,
     branch,
     count_level_assignments,
     count_timed_trees,
@@ -90,6 +89,10 @@ def test_timed_factories():
         timed_branch([timed_leaf(1), timed_leaf(2)], 0)
     with pytest.raises(ValueError):
         timed_branch([t, timed_leaf(3)], 1)  # child time == parent time
+    with pytest.raises(ValueError):
+        branch([timed_leaf(1), leaf(2)], 1)
+    with pytest.raises(ValueError):
+        branch([timed_leaf(1), timed_leaf(2)])  # untimed parent, timed children
 
 
 def test_untimed_drops_stamps():
@@ -244,28 +247,34 @@ def test_validation_error_reasons():
 def test_timed_validation_error_reasons():
     g = path(2)
 
-    late_leaf = TimedAssemblyTree(
+    late_leaf = AssemblyTree(
         frozenset({1, 2}),
-        1,
-        (TimedAssemblyTree(frozenset({1}), 1), timed_leaf(2)),
+        (AssemblyTree(frozenset({1}), time=1), timed_leaf(2)),
+        time=1,
     )
     errors = validation_errors(g, late_leaf, "none")
     assert any("time 0" in e for e in errors)
 
-    slack = TimedAssemblyTree(
-        frozenset({1, 2}), 3, (timed_leaf(1), timed_leaf(2))
+    slack = AssemblyTree(
+        frozenset({1, 2}), (timed_leaf(1), timed_leaf(2)), time=3
     )
     assert any("unoccupied" in e for e in validation_errors(g, slack, "none"))
 
-    flat = TimedAssemblyTree(
+    flat = AssemblyTree(
         frozenset({1, 2, 3}),
-        1,
         (
-            TimedAssemblyTree(frozenset({1, 2}), 1, (timed_leaf(1), timed_leaf(2))),
+            AssemblyTree(frozenset({1, 2}), (timed_leaf(1), timed_leaf(2)), time=1),
             timed_leaf(3),
         ),
+        time=1,
     )
     assert any("strictly earlier" in e for e in validation_errors(path(3), flat, "none"))
+
+    mixed = AssemblyTree(frozenset({1, 2}), (leaf(1), timed_leaf(2)), time=1)
+    assert validation_errors(g, mixed, "none") == ["node {1}: timed and untimed nodes mix"]
+    untimed_root = AssemblyTree(frozenset({1, 2}), (timed_leaf(1), timed_leaf(2)))
+    errors = validation_errors(g, untimed_root, "none")
+    assert errors == [f"node {{{v}}}: timed and untimed nodes mix" for v in (1, 2)]
 
 
 def test_enumerated_timed_trees_validate():
@@ -506,7 +515,7 @@ def test_tree_dict_round_trip_keeps_times():
         [timed_branch([timed_leaf(1), timed_leaf(2)], 1), timed_leaf(3)], 2
     )
     again = tree_from_dict(tree_to_dict(t))
-    assert isinstance(again, TimedAssemblyTree)
+    assert again.time is not None
     assert again == t
 
 
