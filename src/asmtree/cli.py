@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-import urllib.request
+import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -33,25 +33,27 @@ from . import __version__, assembly, formulas, series
 from . import graph as graphs
 from .combinat import factorial
 
-SEQUENCE_FAMILIES = ("star", "path", "cycle", "complete")
+# The families sized by --n: graph builder and smallest n.
+_SEQUENCES = {
+    "star": (graphs.star, 2),
+    "path": (graphs.path, 1),
+    "cycle": (graphs.cycle, 3),
+    "complete": (graphs.complete, 1),
+}
+# Series builder, first k checked, whether coefficient k is scaled by k!
+# (an EGF), and the name of the `formulas` function it must reproduce,
+# looked up when the check runs.
+_SERIES = {
+    "fubini-egf": (series.egf_fubini, 1, True, "fubini"),
+    "super-catalan-ogf": (series.ogf_super_catalan, 1, False, "super_catalan"),
+    "cycle-ogf": (series.ogf_connected_cycle, 3, False, "connected_cycle"),
+    "td-cycle-egf": (series.egf_td_cycle, 1, True, "td_connected_cycle"),
+}
+SEQUENCE_FAMILIES = tuple(_SEQUENCES)
 FAMILIES = SEQUENCE_FAMILIES + ("caterpillar", "custom")
 RULES = ("none", "connected", "edge")
-SERIES_SELECTORS = (
-    "fubini-egf",
-    "super-catalan-ogf",
-    "cycle-ogf",
-    "td-cycle-egf",
-    "td-path-funceq",
-)
+SERIES_SELECTORS = (*_SERIES, "td-path-funceq")
 CACHE_FILE = "counts.txt"
-
-_FAMILY_BUILDERS = {
-    "star": graphs.star,
-    "path": graphs.path,
-    "cycle": graphs.cycle,
-    "complete": graphs.complete,
-}
-_FAMILY_MIN_N = {"star": 2, "path": 1, "cycle": 3, "complete": 1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +180,8 @@ def _build_graph(args: argparse.Namespace) -> graphs.Graph:
         return graphs.caterpillar(len(legs), legs)
     if args.n is None:
         raise ValueError(f"--n is required for family {args.family}")
-    return _FAMILY_BUILDERS[args.family](args.n)
+    build, _ = _SEQUENCES[args.family]
+    return build(args.n)
 
 
 def _oracle_count(g: graphs.Graph, rule: str, timed: bool) -> int:
@@ -187,7 +190,8 @@ def _oracle_count(g: graphs.Graph, rule: str, timed: bool) -> int:
     return assembly.count_trees(g, rule)
 
 
-def _request_key(args: argparse.Namespace, method: str) -> str:
+def _request_key(args: argparse.Namespace, method: str, g: graphs.Graph | None) -> str:
+    """The cache key of a count request; `g` is the graph of family custom."""
     parts = [
         "count",
         f"family={args.family}",
@@ -198,10 +202,7 @@ def _request_key(args: argparse.Namespace, method: str) -> str:
     if args.family == "caterpillar":
         parts.append(f"legs={args.legs}")
     elif args.family == "custom":
-        if not args.graph_file:
-            raise ValueError("--graph-file is required for family custom")
-        canonical = graphs.graph_to_json(graphs.graph_from_json(Path(args.graph_file).read_text()))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        digest = hashlib.sha256(graphs.graph_to_json(g).encode()).hexdigest()[:16]
         parts.append(f"graph={digest}")
     else:
         parts.append(f"n={args.n}")
@@ -230,8 +231,9 @@ def _load_cache() -> dict[str, str]:
         return {}
     entries = {}
     for line in lines[1:]:
-        if "\t" in line:
-            key, value = line.split("\t", 1)
+        key, tab, value = line.partition("\t")
+        # A count is a decimal integer; any other line is damage and is skipped.
+        if tab and value.isascii() and value.isdigit():
             entries[key] = value
     return entries
 
@@ -243,9 +245,16 @@ def _store_cache(entries: dict[str, str]) -> None:
     body = "\n".join(
         [_cache_header()] + [f"{k}\t{v}" for k, v in sorted(entries.items())]
     )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(body + "\n")
-    tmp.replace(path)
+    # Each writer fills a temporary file of its own and renames it over the
+    # cache in one step, so concurrent writers never see a partial file.
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=CACHE_FILE + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(body + "\n")
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -257,7 +266,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
             f"timed={str(args.timed).lower()}; use --method enumerate"
         )
 
-    key = _request_key(args, method)
+    # A custom graph is read once; its canonical form is part of the key.
+    g = _build_graph(args) if args.family == "custom" else None
+    key = _request_key(args, method, g)
     if not args.no_cache:
         cached = _load_cache().get(key)
         if cached is not None:
@@ -274,7 +285,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
             )
         formula_value = entry.fn(args.n)
     if method in ("enumerate", "both"):
-        oracle_value = _oracle_count(_build_graph(args), args.rule, args.timed)
+        if g is None:
+            g = _build_graph(args)
+        oracle_value = _oracle_count(g, args.rule, args.timed)
 
     if method == "both" and formula_value != oracle_value:
         print(f"formula={formula_value}")
@@ -287,21 +300,24 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if not args.no_cache:
         entries = _load_cache()
         entries[key] = str(value)
-        _store_cache(entries)
+        try:
+            _store_cache(entries)
+        except OSError as exc:
+            print(f"warning: count not cached: {exc}", file=sys.stderr)
     return 0
 
 
 def _table_rows(args: argparse.Namespace) -> list[dict]:
     entry = formulas.formula_for(args.family, args.rule, args.timed)
+    build, min_n = _SEQUENCES[args.family]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         formula_value = None
         if entry is not None and n >= entry.min_n:
             formula_value = entry.fn(n)
         oracle_value = None
-        if n >= _FAMILY_MIN_N[args.family] and n <= assembly.ENUMERATION_LIMIT:
-            g = _FAMILY_BUILDERS[args.family](n)
-            oracle_value = _oracle_count(g, args.rule, args.timed)
+        if min_n <= n <= assembly.ENUMERATION_LIMIT:
+            oracle_value = _oracle_count(build(n), args.rule, args.timed)
         agree = None
         if formula_value is not None and oracle_value is not None:
             agree = formula_value == oracle_value
@@ -370,42 +386,15 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 def _series_checks(which: str, ps: series.PowerSeries, order: int) -> list[str]:
     """Compare coefficients against the formula route; return mismatch
     descriptions (empty when everything agrees)."""
+    _, first, egf, name = _SERIES[which]
+    formula = getattr(formulas, name)
     problems = []
-    if which == "fubini-egf":
-        for k in range(1, order + 1):
-            expected = formulas.fubini(k)
-            got = ps.coefficient(k) * factorial(k)
-            if got != expected:
-                problems.append(f"k={k}: series gives {got}, formula gives {expected}")
-    elif which == "super-catalan-ogf":
-        for k in range(1, order + 1):
-            if ps.coefficient(k) != formulas.super_catalan(k):
-                problems.append(
-                    f"k={k}: series gives {ps.coefficient(k)}, "
-                    f"formula gives {formulas.super_catalan(k)}"
-                )
-    elif which == "cycle-ogf":
-        for k in range(3, order + 1):
-            if ps.coefficient(k) != formulas.connected_cycle(k):
-                problems.append(
-                    f"k={k}: series gives {ps.coefficient(k)}, "
-                    f"formula gives {formulas.connected_cycle(k)}"
-                )
-    elif which == "td-cycle-egf":
-        for k in range(1, order + 1):
-            expected = formulas.td_connected_cycle(k)
-            got = ps.coefficient(k) * factorial(k)
-            if got != expected:
-                problems.append(f"k={k}: series gives {got}, formula gives {expected}")
+    for k in range(first, order + 1):
+        got = ps.coefficient(k) * (factorial(k) if egf else 1)
+        expected = formula(k)
+        if got != expected:
+            problems.append(f"k={k}: series gives {got}, formula gives {expected}")
     return problems
-
-
-_SERIES_BUILDERS = {
-    "fubini-egf": series.egf_fubini,
-    "super-catalan-ogf": series.ogf_super_catalan,
-    "cycle-ogf": series.ogf_connected_cycle,
-    "td-cycle-egf": series.egf_td_cycle,
-}
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -416,7 +405,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
             return 0
         print(f"FAIL at k={verdict.first_mismatch}")
         return 1
-    ps = _SERIES_BUILDERS[args.which](args.order)
+    build, *_ = _SERIES[args.which]
+    ps = build(args.order)
     print(series.dump_coefficients(ps))
     problems = _series_checks(args.which, ps, args.order)
     if problems:
@@ -460,6 +450,8 @@ def _resolve_bfile(arg: str) -> str:
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / name
     if not target.exists():
+        import urllib.request  # only here: it is a large share of the start-up time
+
         url = base.rstrip("/") + "/" + name
         with urllib.request.urlopen(url) as resp:
             target.write_bytes(resp.read())

@@ -9,8 +9,8 @@ Everything returns plain Python ints, so counts that outgrow machine words
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import wraps
+from typing import Callable, Iterable, Iterator
 
 
 def factorial(n: int) -> int:
@@ -18,6 +18,33 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial is undefined for n={n}")
     return math.factorial(n)
+
+
+def memo_upward(first: int) -> Callable[[Callable[[int], int]], Callable[[int], int]]:
+    """Memoise a recursion f(n) whose value at n calls f only at arguments
+    in first..n-1, filling the memo from `first` upward: a miss at n first
+    evaluates every smaller missing argument in increasing order, so each
+    evaluation finds the values it recurses on already stored and the stack
+    depth stays flat however large n is. Arguments below `first` go
+    straight to f, which rejects them. `cache_clear` empties the memo, as
+    on functools.lru_cache.
+    """
+
+    def decorate(fn: Callable[[int], int]) -> Callable[[int], int]:
+        table: list = []  # f(first), f(first + 1), ...
+
+        @wraps(fn)
+        def memoized(n: int):
+            if n < first:
+                return fn(n)
+            while len(table) <= n - first:
+                table.append(fn(first + len(table)))
+            return table[n - first]
+
+        memoized.cache_clear = table.clear  # type: ignore[attr-defined]
+        return memoized
+
+    return decorate
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,17 +67,24 @@ def multinomial(parts: Iterable[int]) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: set partitions of an n-set into
     exactly k nonempty blocks. Zero outside the triangle 0 <= k <= n,
     except stirling2(0, 0) == 1.
     """
-    if n == 0 and k == 0:
-        return 1
-    if n < 0 or k < 1 or k > n:
+    if n < 0 or k < 0 or k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling2_row(n)[k]
+
+
+@memo_upward(0)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """stirling2(n, 0..n), from the row above by
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if n == 0:
+        return (1,)
+    above = _stirling2_row(n - 1) + (0,)
+    return (0, *(k * above[k] + above[k - 1] for k in range(1, n + 1)))
 
 
 def partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -4,7 +4,8 @@ families: stars, paths, cycles and complete graphs, plain and timed.
 Every function here has a brute-force counterpart in `assembly`; the test
 suite drives both over shared ranges and the two must agree exactly. All
 results are plain ints and all recursions are memoized, so a warm process
-answers repeated queries instantly.
+answers repeated queries instantly; the memos fill from small n upward, so
+the stack depth does not grow with n.
 
 Naming: the count for a star or path on n vertices takes n as written on
 the graph. The one- and two-vertex cycles and the one-vertex complete
@@ -21,6 +22,7 @@ from typing import Callable, NamedTuple
 from .combinat import (
     binomial,
     factorial,
+    memo_upward,
     multinomial,
     multiplicity,
     partitions,
@@ -50,7 +52,7 @@ def connected_star(total: int) -> int:
     return fubini(total - 1)
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def super_catalan(n: int) -> int:
     """Plane trees with n leaves and no single-child nodes (1, 1, 3, 11,
     45, 197, ... for n = 1, 2, 3, ...)."""
@@ -61,7 +63,7 @@ def super_catalan(n: int) -> int:
     return sum(super_catalan(j) * _ordered_forest(n - j) for j in range(1, n))
 
 
-@lru_cache(maxsize=None)
+@memo_upward(0)
 def _ordered_forest(m: int) -> int:
     """Ordered sequences of plane trees with m leaves in total."""
     if m == 0:
@@ -112,7 +114,7 @@ def connected_cycle_closed(n: int, variant: str = "a") -> int:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def connected_complete(n: int) -> int:
     """Connected-rule assembly trees of the complete graph on n vertices.
 
@@ -154,7 +156,7 @@ def td_connected_path(n: int) -> int:
     return fubini(n - 1)
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def td_connected_cycle(n: int) -> int:
     """Timed connected-rule trees of the cycle: 1 for the all-at-once tree
     plus, for each first-step outcome with j surviving arcs, C(n, j) ways
@@ -166,7 +168,7 @@ def td_connected_cycle(n: int) -> int:
     return 1 + sum(binomial(n, j) * td_connected_cycle(j) for j in range(2, n))
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def td_connected_complete(n: int) -> int:
     """Timed connected-rule trees of the complete graph: the first step
     picks a partition into j blocks (stirling2(n, j) ways) and the rest is
@@ -186,7 +188,7 @@ def td_edge_star(total: int) -> int:
     return factorial(total - 1)
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def td_edge_path(n: int) -> int:
     """Timed edge-rule trees of the path on n vertices: the first step
     merges j disjoint adjacent pairs (C(n-j, n-2j) placements) and leaves
@@ -200,7 +202,7 @@ def td_edge_path(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def td_edge_cycle(n: int) -> int:
     """Timed edge-rule trees of the cycle; like td_edge_path but the pair
     placements wrap around, contributing the second binomial."""
@@ -215,7 +217,7 @@ def td_edge_cycle(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@memo_upward(1)
 def td_edge_complete(n: int) -> int:
     """Timed edge-rule trees of the complete graph: the first step picks i
     disjoint unordered pairs, n! / (2^i i! (n-2i)!) ways, leaving K_{n-i}."""

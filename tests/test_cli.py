@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -117,6 +118,25 @@ def test_count_caterpillar_and_custom(capsys, tmp_path):
     assert (code, out) == (0, "4\n")
 
 
+@pytest.mark.parametrize(
+    "family, rule, timed",
+    [
+        ("path", "connected", ()),
+        ("path", "edge", ("--timed",)),
+        ("star", "connected", ()),
+        ("complete", "connected", ("--timed",)),
+    ],
+)
+def test_count_formulas_at_large_n(capsys, family, rule, timed):
+    code, out, err = run_cli(
+        capsys,
+        "count", "--family", family, "--rule", rule, *timed, "--n", "600",
+        "--no-banner", "--no-cache",
+    )
+    assert (code, err) == (0, "")
+    assert out.strip().isdigit()
+
+
 def test_count_rejects_unanswerable_requests(capsys):
     bad = [
         # no closed form for plain edge counts
@@ -201,6 +221,55 @@ def test_stale_cache_version_is_ignored(capsys, isolated_env):
     cache.write_text(body.replace("asmtree-cache 0.1.0", "asmtree-cache 0.0.9"))
     assert count_star(capsys)[1] == "75\n"
     assert cache.read_text().splitlines()[0] == "# asmtree-cache 0.1.0"
+
+
+def test_cache_skips_values_that_are_not_counts(capsys, isolated_env):
+    cache = isolated_env / "cache" / "counts.txt"
+    cache.parent.mkdir()
+    cache.write_text(
+        "# asmtree-cache 0.1.0\n"
+        "count family=star rule=connected timed=0 method=formula n=5\tnot-a-number\n"
+    )
+    assert count_star(capsys) == (0, "75\n", "")
+    assert "\t75" in cache.read_text()
+
+
+def test_failed_cache_store_is_only_a_warning(capsys, isolated_env):
+    (isolated_env / "cache").write_text("a file where the cache directory should be")
+    code, out, err = count_star(capsys)
+    assert (code, out) == (0, "75\n")
+    assert err.startswith("warning:") and err.count("\n") == 1
+
+
+STORE_MANY = """
+import sys
+from asmtree import cli
+for i in range(150):
+    entries = cli._load_cache()
+    entries[f"count writer={sys.argv[1]} n={i}"] = str(i)
+    cli._store_cache(entries)
+"""
+
+
+def test_concurrent_cache_writers(isolated_env):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", STORE_MANY, name],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for name in ("a", "b")
+    ]
+    for proc in writers:
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+    lines = (isolated_env / "cache" / "counts.txt").read_text().splitlines()
+    assert lines[0] == "# asmtree-cache 0.1.0"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        key, value = line.split("\t")
+        assert key.startswith("count writer=") and int(value) >= 0
+    assert [p.name for p in (isolated_env / "cache").iterdir()] == ["counts.txt"]
 
 
 def test_cache_is_transparent(capsys, isolated_env):
