@@ -20,7 +20,7 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def memo_upward(first: int) -> Callable[[Callable[[int], int]], Callable[[int], int]]:
+def memo_upward(first: int) -> Callable[[Callable], Callable]:
     """Memoise a recursion f(n) whose value at n calls f only at arguments
     in first..n-1, filling the memo from `first` upward: a miss at n first
     evaluates every smaller missing argument in increasing order, so each
@@ -30,7 +30,7 @@ def memo_upward(first: int) -> Callable[[Callable[[int], int]], Callable[[int], 
     on functools.lru_cache.
     """
 
-    def decorate(fn: Callable[[int], int]) -> Callable[[int], int]:
+    def decorate(fn: Callable) -> Callable:
         table: list = []  # f(first), f(first + 1), ...
 
         @wraps(fn)

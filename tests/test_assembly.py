@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asmtree.assembly import (
     AssemblyTree,
@@ -534,3 +535,38 @@ def test_parse_tree_rejects_malformed_input():
     for text in bad:
         with pytest.raises(ValueError):
             parse_tree(text)
+
+
+# ------------------------------------------------- random graphs, all routes
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1..n (each vertex hangs off an earlier
+    one) plus any subset of the remaining pairs."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    others = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in edges]
+    extra = draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+    return n, sorted(edges | set(extra))
+
+
+@settings(max_examples=12, deadline=None)
+@given(connected_graphs())
+def test_random_graphs_counts_enumeration_and_oracles_agree(case):
+    n, edges = case
+    g = Graph(n, edges)
+    shapes = list(all_assembly_trees(range(1, n + 1)))
+    for rule in RULES:
+        trees = list(enumerate_trees(g, rule))
+        assert len(set(trees)) == len(trees) == count_trees(g, rule)
+        assert set(trees) == {from_oracle(t) for t in shapes if rule_ok(t, edges, rule)}
+        assert all(validate(g, t, rule) for t in trees)
+
+        timed = list(enumerate_timed_trees(g, rule))
+        assert len(set(timed)) == len(timed) == count_timed_trees(g, rule)
+        # The naive timing listing tries up to (k-1)^(k-1) stampings per
+        # tree; past five vertices every example would take seconds.
+        if n <= 5:
+            assert len(timed) == count_timed_by_listing(n, edges, rule)
+        assert all(validate(g, t, rule) for t in timed)
