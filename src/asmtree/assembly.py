@@ -19,9 +19,10 @@ the root to sit alone at m.
 
 The enumerators are deliberately direct and serve as ground truth for the
 closed forms in `formulas`. The counters use memoized dynamic programming
-(over vertex subsets for plain trees, over frontier partitions for timed
-ones) and must agree with the enumerators wherever both run; `validate` is
-a separate code path against the definition so it can audit either.
+(over vertex subsets for plain trees, over the quotient graphs that frontier
+partitions leave for timed ones) and must agree with the enumerators
+wherever both run; `validate` is a separate code path against the
+definition so it can audit either.
 """
 
 from __future__ import annotations
@@ -390,81 +391,125 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     partitions: singletons at time 0, then a strictly coarser partition at
     every time step, where each group of blocks merged in one step must be
     admissible for the rule (union connected for CONNECTED, exactly two
-    blocks joined by an edge for EDGE, any >= 2 blocks for NONE). So the
-    count is a memoized sum over such chains. It must, and in the tests
-    does, agree with summing count_level_assignments over enumerate_trees.
+    blocks joined by an edge for EDGE, any >= 2 blocks for NONE). It must,
+    and in the tests does, agree with summing count_level_assignments over
+    enumerate_trees.
 
-    The state space is the partition lattice, so dense graphs get slow
-    well before the cap (default COUNTING_LIMIT); sparse families are fine.
+    Under CONNECTED and EDGE every block of such a chain is connected, so
+    whether a group may merge can be read off the quotient graph G/pi: one
+    vertex per block, two joined when an edge of G joins the blocks. The
+    number of ways to finish from pi thus depends only on that quotient,
+    and the count is a memoized recursion over quotients, from G itself
+    down to the one-vertex quotient, which counts 1. A state numbers the
+    blocks by lowest vertex and lists, for each block, the mask of its
+    lower-numbered neighbours. Under NONE any group may merge and only the
+    number of blocks matters, so the quotient is taken complete and the
+    states are keyed by that number alone. The merges out of a state are
+    generated already admissible (see _step_total); dense graphs still
+    get slow well before the cap (default COUNTING_LIMIT).
     """
     rule = _as_rule(rule)
     _check_graph(g, limit, COUNTING_LIMIT)
-    if g.n == 1:
-        return 1
-    memo: dict[frozenset[int], int] = {}
+    if rule is GluingRule.NONE:
+        start = tuple((1 << i) - 1 for i in range(g.n))
+    else:
+        start = tuple(m & ((1 << i) - 1) for i, m in enumerate(g._adj[1:]))
+    memo: dict[tuple[int, ...], int] = {(0,): 1}
 
-    def finish(blocks: frozenset[int]) -> int:
-        if len(blocks) == 1:
-            return 1
-        cached = memo.get(blocks)
-        if cached is not None:
-            return cached
-        total = 0
-        for nxt in _merge_rounds(g, rule, tuple(sorted(blocks))):
-            total += finish(nxt)
-        memo[blocks] = total
-        return total
+    def finish(lower: tuple[int, ...]) -> int:
+        cached = memo.get(lower)
+        if cached is None:
+            cached = memo[lower] = _step_total(lower, rule, finish)
+        return cached
 
-    start = frozenset(1 << i for i in range(g.n))
     return finish(start)
 
 
-def _merge_rounds(
-    g: Graph, rule: GluingRule, blocks: tuple[int, ...]
-) -> Iterator[frozenset[int]]:
-    """Partitions reachable from `blocks` in one time step: at least one
-    group of blocks merges and every merged group is admissible."""
-    if rule is GluingRule.EDGE:
-        def group_ok(masks: list[int]) -> bool:
-            return len(masks) == 2 and crossing_mask(g, masks[0], masks[1])
-    elif rule is GluingRule.CONNECTED:
-        def group_ok(masks: list[int]) -> bool:
-            union = 0
-            for m in masks:
-                union |= m
-            return connected_mask(g, union)
-    else:
-        def group_ok(masks: list[int]) -> bool:
-            return True
+def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
+    """Sum of finish(q) over the quotients q one time step away from the
+    quotient whose lower-neighbour masks are `lower`.
 
-    def arrange(remaining: tuple[int, ...], merged_any: bool) -> Iterator[tuple[int, ...]]:
+    A step partitions the quotient's vertices into admissible groups, bar
+    the partition into singletons. Groups are placed in order of their
+    lowest vertex, `head`: it stays alone or merges with one neighbour
+    (EDGE), a connected set grown from it (CONNECTED) or any set of the
+    vertices not yet placed (NONE). Each group's row of the next quotient
+    is built as it is placed, from its reach (the union of its members'
+    neighbourhoods) and the groups placed before it.
+    """
+    k = len(lower)
+    adj = list(lower)
+    for b, m in enumerate(lower):
+        for a in iter_bits(m):
+            adj[a - 1] |= 1 << b
+    groups: list[int] = []
+    rows: list[int] = []
+
+    def options(head: int, rest: int) -> Iterator[tuple[int, int]]:
+        """The groups that `head` can lead, each with its reach."""
+        reach = adj[head.bit_length() - 1]
+        yield head, reach
+        if rule is GluingRule.EDGE:
+            others = reach & rest
+            while others:
+                other = others & -others
+                yield head | other, reach | adj[other.bit_length() - 1]
+                others ^= other
+        elif rule is GluingRule.CONNECTED:
+            yield from _connected_growths(adj, head, reach, rest)
+        else:
+            # The quotient is complete, so every group reaches everyone.
+            sub = rest
+            while sub:
+                yield head | sub, reach
+                sub = (sub - 1) & rest
+
+    def arrange(remaining: int, placed: int) -> int:
         if not remaining:
-            if merged_any:
-                yield ()
-            return
-        head, rest = remaining[0], remaining[1:]
-        for tail in arrange(rest, merged_any):
-            yield (head, *tail)
-        for selector in range(1, 1 << len(rest)):
-            group = [head]
-            leftover = []
-            for i, b in enumerate(rest):
-                (group if selector >> i & 1 else leftover).append(b)
-            if not group_ok(group):
-                continue
-            union = 0
-            for m in group:
-                union |= m
-            for tail in arrange(tuple(leftover), True):
-                yield (union, *tail)
+            return finish(tuple(rows)) if len(rows) < k else 0
+        total = 0
+        head = remaining & -remaining
+        for group, reach in options(head, remaining ^ head):
+            reach &= placed
+            row = 0
+            if reach:
+                for a, earlier in enumerate(groups):
+                    if reach & earlier:
+                        row |= 1 << a
+            groups.append(group)
+            rows.append(row)
+            total += arrange(remaining ^ group, placed | group)
+            groups.pop()
+            rows.pop()
+        return total
 
-    for after in arrange(blocks, False):
-        yield frozenset(after)
+    return arrange((1 << k) - 1, 0)
+
+
+def _connected_growths(
+    adj: list[int], grown: int, reach: int, allowed: int
+) -> Iterator[tuple[int, int]]:
+    """Each connected set that strictly contains the connected set `grown`
+    and lies within grown | allowed, once, with its reach. `reach` is the
+    union of the neighbourhoods of grown's vertices. The lowest vertex on
+    the frontier is either taken, or left out of this set and every later
+    one."""
+    frontier = reach & allowed
+    while frontier:
+        v = frontier & -frontier
+        frontier ^= v
+        allowed ^= v
+        bigger = grown | v
+        wider = reach | adj[v.bit_length() - 1]
+        yield bigger, wider
+        yield from _connected_growths(adj, bigger, wider, allowed)
 
 
 def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
     """The vertex partition formed at time j: labels of nodes with time
     <= j that are maximal under inclusion."""
+    if t.time is None:
+        raise ValueError("an untimed tree has no frontier partitions")
     if j < 0 or j > t.time:
         raise ValueError(f"time {j} outside 0..{t.time}")
     blocks = []

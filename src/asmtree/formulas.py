@@ -16,16 +16,12 @@ constructible graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 from typing import Callable, NamedTuple
 
 from .combinat import (
     binomial,
     factorial,
     memo_upward,
-    multinomial,
-    multiplicity,
-    partitions,
     stirling2,
 )
 
@@ -118,22 +114,25 @@ def connected_cycle_closed(n: int, variant: str = "a") -> int:
 def connected_complete(n: int) -> int:
     """Connected-rule assembly trees of the complete graph on n vertices.
 
-    Every label is connected here, so this recursion also counts rule-free
-    assembly trees of any n-vertex graph: sum over the root partition
-    shape lambda of (ways to realize lambda) * (trees per block).
+    Every label is connected here, so this also counts rule-free assembly
+    trees of any n-vertex graph. The root's child holding vertex 1 has k
+    vertices (C(n-1, k-1) ways, T(k) trees); the other n - k vertices form
+    any forest, and a forest on m >= 2 vertices is one tree or the children
+    of a root, so there are 2 T(m) of them (1 for m <= 1).
     """
     if n < 1:
         raise ValueError("complete graphs need at least 1 vertex")
     if n == 1:
         return 1
-    total = 0
-    for k in range(2, n + 1):
-        for lam in partitions(n, k):
-            realizations = multinomial(lam)
-            for part_size in set(lam):
-                realizations //= factorial(multiplicity(lam, part_size))
-            total += realizations * prod(connected_complete(part) for part in lam)
-    return total
+    return sum(
+        binomial(n - 1, k - 1) * connected_complete(k) * _complete_forests(n - k)
+        for k in range(1, n)
+    )
+
+
+def _complete_forests(m: int) -> int:
+    """Rule-free assembly forests on m labelled vertices."""
+    return 1 if m <= 1 else 2 * connected_complete(m)
 
 
 def td_connected_star(total: int) -> int:

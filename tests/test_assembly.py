@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -362,6 +363,25 @@ def test_every_tree_has_a_stamping():
             assert count_timed_trees(g, rule) >= count_trees(g, rule)
 
 
+def test_timed_counts_on_random_graphs_keep_their_relations():
+    # Past the reach of enumeration: a relabelled copy counts the same,
+    # a looser rule never counts fewer, and every tree has a stamping.
+    rng = random.Random(4)
+    for n in (7, 8, 8, 9, 9, 9):
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        while len(edges) < n + 3:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        g = Graph(n, edges)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        h = Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+        timed = {rule: count_timed_trees(g, rule) for rule in RULES}
+        assert timed == {rule: count_timed_trees(h, rule) for rule in RULES}
+        assert timed["edge"] <= timed["connected"] <= timed["none"]
+        for rule in RULES:
+            assert count_trees(g, rule) <= timed[rule]
+
+
 # ---------------------------------------------------- frontiers of timed trees
 
 
@@ -398,6 +418,8 @@ def test_two_wing_example_frontiers():
         frontier_partition(t, 4)
     with pytest.raises(ValueError):
         frontier_partition(t, -1)
+    with pytest.raises(ValueError, match="untimed tree"):
+        frontier_partition(branch([leaf(1), leaf(2)]), 0)
 
 
 def test_frontier_invariants():

@@ -125,6 +125,7 @@ def test_count_caterpillar_and_custom(capsys, tmp_path):
         ("path", "edge", ("--timed",)),
         ("star", "connected", ()),
         ("complete", "connected", ("--timed",)),
+        ("complete", "connected", ()),
     ],
 )
 def test_count_formulas_at_large_n(capsys, family, rule, timed):

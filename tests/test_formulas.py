@@ -150,13 +150,13 @@ def test_timed_formulas_match_tree_counts():
     for n in range(2, 8):
         assert td_connected_star(n) == count_timed_trees(star(n), "connected")
         assert td_edge_star(n) == count_timed_trees(star(n), "edge")
-    for n in range(1, 8):
+    for n in range(1, 13):
         assert td_connected_path(n) == count_timed_trees(path(n), "connected")
         assert td_edge_path(n) == count_timed_trees(path(n), "edge")
-    for n in range(3, 8):
+    for n in range(3, 12):
         assert td_connected_cycle(n) == count_timed_trees(cycle(n), "connected")
         assert td_edge_cycle(n) == count_timed_trees(cycle(n), "edge")
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert td_connected_complete(n) == count_timed_trees(
             complete(n), "connected"
         )
