@@ -7,7 +7,9 @@ least two children, and where every internal label is the disjoint union
 of its children's labels; the root carries the full vertex set. A gluing
 rule restricts which trees are admissible:
 
-* NONE       no restriction beyond the shape (counts depend only on n),
+* NONE       no restriction beyond the shape, so counts depend only on n;
+             it is CONNECTED on the complete graph K_n, whose every vertex
+             set is connected, and is counted and enumerated as such,
 * CONNECTED  every label must induce a connected subgraph,
 * EDGE       every internal node has exactly two children with at least
              one edge of the graph running between them.
@@ -35,6 +37,7 @@ from typing import Iterable, Iterator
 
 from .graph import (
     Graph,
+    complete,
     connected_mask,
     crossing_mask,
     has_crossing_edge,
@@ -110,10 +113,6 @@ def branch(children: Iterable[AssemblyTree], time: int | None = None) -> Assembl
 timed_branch = branch
 
 
-def _as_rule(rule: GluingRule | str) -> GluingRule:
-    return rule if isinstance(rule, GluingRule) else GluingRule(rule)
-
-
 def _submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, ascending, starting at 0 and ending at mask."""
     sub = 0
@@ -151,7 +150,18 @@ def _partitions_ge1(mask: int) -> Iterator[tuple[int, ...]]:
             yield (first, *others)
 
 
-def _check_graph(g: Graph, limit: int | None, default: int) -> None:
+def _prepare(
+    g: Graph, rule: GluingRule | str, limit: int | None, default: int
+) -> tuple[Graph, GluingRule]:
+    """The graph and rule a counter or enumerator runs on, once g has
+    passed the vertex cap and the connectivity check.
+
+    NONE comes back as CONNECTED on K_n: every vertex set of a complete
+    graph is connected, and trees carry labels, not edges, so the trees
+    and their order are the same. The checks run on g itself first, so a
+    disconnected g is still rejected.
+    """
+    rule = GluingRule(rule)
     cap = default if limit is None else limit
     if g.n > cap:
         raise ValueError(
@@ -159,6 +169,9 @@ def _check_graph(g: Graph, limit: int | None, default: int) -> None:
         )
     if not connected_mask(g, g.full_mask()):
         raise ValueError("graph must be connected")
+    if rule is GluingRule.NONE:
+        return complete(g.n), GluingRule.CONNECTED
+    return g, rule
 
 
 def enumerate_trees(
@@ -171,8 +184,7 @@ def enumerate_trees(
     `limit` vertices (default ENUMERATION_LIMIT) because the tree count
     grows much faster than exponentially.
     """
-    rule = _as_rule(rule)
-    _check_graph(g, limit, ENUMERATION_LIMIT)
+    g, rule = _prepare(g, rule, limit, ENUMERATION_LIMIT)
     memo: dict[int, tuple[AssemblyTree, ...]] = {}
     yield from _trees(g, rule, g.full_mask(), memo)
 
@@ -200,14 +212,12 @@ def _build_trees(g, rule, mask, memo) -> Iterator[AssemblyTree]:
                 for right_tree in _trees(g, rule, b_mask, memo):
                     yield AssemblyTree(label, (left_tree, right_tree))
         return
-    if rule is GluingRule.CONNECTED and not connected_mask(g, mask):
+    if not connected_mask(g, mask):
         return
     for blocks in _partitions_ge1(mask):
         if len(blocks) == 1:
             return  # the single block, listed last, is not a branching
-        if rule is GluingRule.CONNECTED and not all(
-            b & (b - 1) == 0 or connected_mask(g, b) for b in blocks
-        ):
+        if not all(b & (b - 1) == 0 or connected_mask(g, b) for b in blocks):
             continue
         pools = [_trees(g, rule, b, memo) for b in blocks]
         for combo in product(*pools):
@@ -223,24 +233,19 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     len(list(enumerate_trees(...))) wherever enumeration is feasible and
     goes considerably further (default cap COUNTING_LIMIT).
     """
-    rule = _as_rule(rule)
-    _check_graph(g, limit, COUNTING_LIMIT)
+    g, rule = _prepare(g, rule, limit, COUNTING_LIMIT)
     full = g.full_mask()
     if rule is GluingRule.EDGE:
         return _count_edge(g, full, {})
     if g.n == 1:
         return 1
+    conn: dict[int, bool] = {}
 
-    if rule is GluingRule.NONE:
-        def label_ok(m: int) -> bool:
-            return True
-    else:
-        conn: dict[int, bool] = {}
-        def label_ok(m: int) -> bool:
-            hit = conn.get(m)
-            if hit is None:
-                hit = conn[m] = connected_mask(g, m)
-            return hit
+    def label_ok(m: int) -> bool:
+        hit = conn.get(m)
+        if hit is None:
+            hit = conn[m] = connected_mask(g, m)
+        return hit
 
     return _forests(full, label_ok, {}) >> 1
 
@@ -391,29 +396,24 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     partitions: singletons at time 0, then a strictly coarser partition at
     every time step, where each group of blocks merged in one step must be
     admissible for the rule (union connected for CONNECTED, exactly two
-    blocks joined by an edge for EDGE, any >= 2 blocks for NONE). It must,
-    and in the tests does, agree with summing count_level_assignments over
-    enumerate_trees.
+    blocks joined by an edge for EDGE; NONE is counted as CONNECTED on
+    K_n). It must, and in the tests does, agree with summing
+    count_level_assignments over enumerate_trees.
 
-    Under CONNECTED and EDGE every block of such a chain is connected, so
-    whether a group may merge can be read off the quotient graph G/pi: one
-    vertex per block, two joined when an edge of G joins the blocks. The
-    number of ways to finish from pi thus depends only on that quotient,
-    and the count is a memoized recursion over quotients, from G itself
-    down to the one-vertex quotient, which counts 1. A state numbers the
-    blocks by lowest vertex and lists, for each block, the mask of its
-    lower-numbered neighbours. Under NONE any group may merge and only the
-    number of blocks matters, so the quotient is taken complete and the
-    states are keyed by that number alone. The merges out of a state are
-    generated already admissible (see _step_total); dense graphs still
-    get slow well before the cap (default COUNTING_LIMIT).
+    Every block of such a chain is connected, so whether a group may
+    merge can be read off the quotient graph G/pi: one vertex per block,
+    two joined when an edge of G joins the blocks. The number of ways to
+    finish from pi thus depends only on that quotient, and the count is a
+    memoized recursion over quotients, from G itself down to the
+    one-vertex quotient, which counts 1. A state numbers the blocks by
+    lowest vertex and lists, for each block, the mask of its
+    lower-numbered neighbours. The merges out of a state are generated
+    already admissible (see _step_total). On a complete quotient every
+    grouping is admissible, Bell(k) of them for k blocks, so dense graphs
+    and NONE get slow well before the cap (default COUNTING_LIMIT).
     """
-    rule = _as_rule(rule)
-    _check_graph(g, limit, COUNTING_LIMIT)
-    if rule is GluingRule.NONE:
-        start = tuple((1 << i) - 1 for i in range(g.n))
-    else:
-        start = tuple(m & ((1 << i) - 1) for i, m in enumerate(g._adj[1:]))
+    g, rule = _prepare(g, rule, limit, COUNTING_LIMIT)
+    start = tuple(m & ((1 << i) - 1) for i, m in enumerate(g._adj[1:]))
     memo: dict[tuple[int, ...], int] = {(0,): 1}
 
     def finish(lower: tuple[int, ...]) -> int:
@@ -432,10 +432,9 @@ def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
     A step partitions the quotient's vertices into admissible groups, bar
     the partition into singletons. Groups are placed in order of their
     lowest vertex, `head`: it stays alone or merges with one neighbour
-    (EDGE), a connected set grown from it (CONNECTED) or any set of the
-    vertices not yet placed (NONE). Each group's row of the next quotient
-    is built as it is placed, from its reach (the union of its members'
-    neighbourhoods) and the groups placed before it.
+    (EDGE) or a connected set grown from it (CONNECTED). Each group's row
+    of the next quotient is built as it is placed, from its reach (the
+    union of its members' neighbourhoods) and the groups placed before it.
     """
     k = len(lower)
     adj = list(lower)
@@ -455,14 +454,8 @@ def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
                 other = others & -others
                 yield head | other, reach | adj[other.bit_length() - 1]
                 others ^= other
-        elif rule is GluingRule.CONNECTED:
-            yield from _connected_growths(adj, head, reach, rest)
         else:
-            # The quotient is complete, so every group reaches everyone.
-            sub = rest
-            while sub:
-                yield head | sub, reach
-                sub = (sub - 1) & rest
+            yield from _connected_growths(adj, head, reach, rest)
 
     def arrange(remaining: int, placed: int) -> int:
         if not remaining:
@@ -538,7 +531,7 @@ def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list
     enumerators, so they can audit enumerator output. Reasons are short
     stable strings meant for both humans and tests.
     """
-    rule = _as_rule(rule)
+    rule = GluingRule(rule)
     errors: list[str] = []
     timed = t.time is not None
     universe = g.vertices()

@@ -51,7 +51,7 @@ _SERIES = {
 }
 SEQUENCE_FAMILIES = tuple(_SEQUENCES)
 FAMILIES = SEQUENCE_FAMILIES + ("caterpillar", "custom")
-RULES = ("none", "connected", "edge")
+RULES = tuple(r.value for r in assembly.GluingRule)
 SERIES_SELECTORS = (*_SERIES, "td-path-funceq")
 CACHE_FILE = "counts.txt"
 

@@ -1,6 +1,7 @@
-"""Exact integer combinatorics: factorials, binomial and multinomial
-coefficients, Stirling numbers, integer partitions, and counts of
-compositions into parts 1 and 2.
+"""Exact integer combinatorics: factorials, binomial coefficients,
+Stirling numbers of the second kind, and counts of compositions into
+parts 1 and 2, plus the upward-filling memo the closed forms recurse
+through.
 
 Everything returns plain Python ints, so counts that outgrow machine words
 (ordered set partitions pass 2**64 before n hits 21) stay exact.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import wraps
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 
 def factorial(n: int) -> int:
@@ -58,15 +59,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def multinomial(parts: Iterable[int]) -> int:
-    """Multinomial coefficient (sum parts)! / prod(p!)."""
-    parts = list(parts)
-    result = math.factorial(sum(parts))
-    for p in parts:
-        result //= math.factorial(p)
-    return result
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: set partitions of an n-set into
     exactly k nonempty blocks. Zero outside the triangle 0 <= k <= n,
@@ -85,34 +77,6 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
         return (1,)
     above = _stirling2_row(n - 1) + (0,)
     return (0, *(k * above[k] + above[k - 1] for k in range(1, n + 1)))
-
-
-def partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of n into exactly k positive parts.
-
-    Parts are weakly decreasing within each tuple, and tuples appear in
-    reverse-lexicographic order, so output order is reproducible.
-    """
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
-    return _partitions_capped(n, k, n)
-
-
-def _partitions_capped(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        if n <= cap:
-            yield (n,)
-        return
-    # Below ceil(n/k) the remaining k-1 parts could not stay <= first.
-    smallest_first = -(-n // k)
-    for first in range(min(cap, n - k + 1), smallest_first - 1, -1):
-        for rest in _partitions_capped(n - first, k - 1, first):
-            yield (first, *rest)
-
-
-def multiplicity(parts: Iterable[int], i: int) -> int:
-    """How many parts equal i."""
-    return sum(1 for p in parts if p == i)
 
 
 def count_compositions_1_2(n: int, k: int) -> int:

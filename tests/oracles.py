@@ -57,15 +57,6 @@ def bell_numbers(n: int) -> list[int]:
     return bells
 
 
-def integer_partitions(n: int, k: int) -> set[tuple[int, ...]]:
-    """Partitions of n into exactly k positive parts, by filtering."""
-    found = set()
-    for combo in itertools.combinations_with_replacement(range(1, n + 1), k):
-        if sum(combo) == n:
-            found.add(tuple(reversed(combo)))
-    return found
-
-
 def compositions(total: int):
     """Ordered sequences of positive integers summing to `total`."""
     if total == 0:

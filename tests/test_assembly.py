@@ -171,6 +171,11 @@ def test_disconnected_graph_rejected():
         count_timed_trees(g, "connected")
     with pytest.raises(ValueError):
         next(enumerate_timed_trees(g, "edge"))
+    # NONE is served on K_n, which must not hide that g is disconnected.
+    with pytest.raises(ValueError):
+        count_timed_trees(g, "none")
+    with pytest.raises(ValueError):
+        next(enumerate_timed_trees(g, "none"))
 
 
 def test_size_caps():
@@ -185,6 +190,8 @@ def test_size_caps():
         count_trees(path(5), "none", limit=3)
     with pytest.raises(ValueError):
         count_timed_trees(path(17), "edge")
+    with pytest.raises(ValueError):
+        count_timed_trees(path(17), "none")
 
 
 def test_cap_override_allows_larger_graphs():

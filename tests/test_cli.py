@@ -665,6 +665,16 @@ def test_repeated_runs_are_byte_identical(capsys):
             456,
             "7b9841d0c7d6c0d9c13a6a153089a55a89de060152438884ce05d3abc3bab0a8",
         ),
+        (
+            "--family path --n 5 --rule none --format json",
+            236,
+            "f72d29af206d7d65dd49331710429b8655cfc48bdb96dd20c22a4ba0b3de1d2e",
+        ),
+        (
+            "--family star --n 5 --rule none --timed --format json",
+            436,
+            "e1d25bbc650db01899ac31ee0893a83bfab3519ed0715f8b8010ee88079f592d",
+        ),
     ],
 )
 def test_trees_output_is_pinned(capsys, argv, lines, digest):

@@ -4,9 +4,6 @@ from asmtree.combinat import (
     binomial,
     count_compositions_1_2,
     factorial,
-    multinomial,
-    multiplicity,
-    partitions,
     stirling2,
 )
 
@@ -14,8 +11,6 @@ from oracles import (
     bell_numbers,
     compositions_1_2,
     count_1_2_compositions,
-    integer_partitions,
-    set_partitions,
     stirling2_by_listing,
 )
 
@@ -49,21 +44,6 @@ def test_binomial_pascal_triangle():
         assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
 
 
-def test_multinomial():
-    assert multinomial([2, 1]) == 3
-    assert multinomial([1, 1, 1]) == 6
-    assert multinomial([3, 2, 1]) == 60
-    assert multinomial([4]) == 1
-    assert multinomial([]) == 1
-    for n in range(1, 9):
-        assert multinomial([1] * n) == factorial(n)
-
-
-def test_multinomial_matches_repeated_binomials():
-    # choose the parts one at a time
-    assert multinomial([2, 3, 4]) == binomial(9, 2) * binomial(7, 3) * binomial(4, 4)
-
-
 def test_stirling2_small_table():
     table = {
         (0, 0): 1,
@@ -90,67 +70,6 @@ def test_stirling2_rows_sum_to_bell():
     bells = bell_numbers(12)
     for n in range(13):
         assert sum(stirling2(n, k) for k in range(n + 1)) == bells[n]
-
-
-def test_partitions_reverse_lex_order():
-    assert list(partitions(4, 2)) == [(3, 1), (2, 2)]
-    assert list(partitions(6, 3)) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
-    assert list(partitions(5, 1)) == [(5,)]
-    assert list(partitions(5, 5)) == [(1, 1, 1, 1, 1)]
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            seq = list(partitions(n, k))
-            assert seq == sorted(seq, reverse=True)
-            for part in seq:
-                assert sum(part) == n
-                assert len(part) == k
-                assert list(part) == sorted(part, reverse=True)
-
-
-def test_partitions_complete():
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert set(partitions(n, k)) == integer_partitions(n, k)
-
-
-def test_partition_counts_satisfy_recurrence():
-    def p(n, k):
-        if k < 1 or k > n:
-            return 0
-        return sum(1 for _ in partitions(n, k))
-
-    for n in range(2, 15):
-        for k in range(1, n + 1):
-            assert p(n, k) == p(n - 1, k - 1) + p(n - k, k)
-
-
-def test_partitions_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        list(partitions(4, 0))
-    with pytest.raises(ValueError):
-        list(partitions(3, 4))
-    with pytest.raises(ValueError):
-        list(partitions(0, 1))
-
-
-def test_multiplicity():
-    assert multiplicity((3, 1), 3) == 1
-    assert multiplicity((2, 2), 2) == 2
-    assert multiplicity((4, 4, 4, 1), 4) == 3
-    assert multiplicity((2, 2, 1, 1, 1), 1) == 3
-    assert multiplicity((2, 2, 1, 1, 1), 5) == 0
-    assert multiplicity((), 1) == 0
-
-
-def test_orbit_sizes_are_integral():
-    # distinct orderings of a partition: k! over the stabilizer product
-    for n in range(1, 16):
-        for k in range(1, n + 1):
-            for part in partitions(n, k):
-                stab = 1
-                for value in set(part):
-                    stab *= factorial(multiplicity(part, value))
-                assert factorial(k) % stab == 0
 
 
 def test_count_compositions_1_2_examples():
