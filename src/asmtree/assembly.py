@@ -20,7 +20,10 @@ children, and the occupied times form a gapless range 0..m, which forces
 the root to sit alone at m.
 
 The enumerators are deliberately direct and serve as ground truth for the
-closed forms in `formulas`. The counters use memoized dynamic programming
+closed forms in `formulas`. They stream lazily: a vertex subset's trees are
+kept once built only when there are few of them, and a larger set is built
+again each time it is needed, so memory is bounded by that keep bound, not
+by the tree count. The counters use memoized dynamic programming
 (over vertex subsets for plain trees, over the quotient graphs that frontier
 partitions leave for timed ones) and must agree with the enumerators
 wherever both run; `validate` is a separate code path against the
@@ -32,8 +35,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import chain, islice, product
+from typing import Callable, Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -48,6 +51,9 @@ from .graph import (
 
 ENUMERATION_LIMIT = 9
 COUNTING_LIMIT = 16
+# The most trees an enumeration keeps in memory for one vertex subset; a
+# larger pool is streamed again each time it is needed.
+_KEEP = 2048
 
 
 class GluingRule(Enum):
@@ -135,10 +141,11 @@ def _two_splits(mask: int) -> Iterator[tuple[int, int]]:
         yield first, mask ^ first
 
 
-def _partitions_ge1(mask: int) -> Iterator[tuple[int, ...]]:
-    """Set partitions of the masked set into any number of blocks, each
-    exactly once, blocks listed by ascending minimum vertex. The single
-    block comes last."""
+def _partitions_ge1(mask: int, ok: Callable[[int], bool]) -> Iterator[tuple[int, ...]]:
+    """Set partitions of the masked set into any number of blocks that
+    pass ok, each exactly once, blocks listed by ascending minimum vertex.
+    The single block comes last. A block that fails ok is never extended
+    into partitions."""
     if mask == 0:
         yield ()
         return
@@ -146,8 +153,9 @@ def _partitions_ge1(mask: int) -> Iterator[tuple[int, ...]]:
     rest = mask ^ low
     for sub in _submasks(rest):
         first = low | sub
-        for others in _partitions_ge1(mask ^ first):
-            yield (first, *others)
+        if ok(first):
+            for others in _partitions_ge1(mask ^ first, ok):
+                yield (first, *others)
 
 
 def _prepare(
@@ -183,23 +191,67 @@ def enumerate_trees(
     deterministic, so repeated runs produce identical output. Capped at
     `limit` vertices (default ENUMERATION_LIMIT) because the tree count
     grows much faster than exponentially.
+
+    The stream is lazy. Trees come branching by branching (the ways to
+    split the vertex set into the root's children, in a fixed order), and
+    within one in the order of the product of its blocks' trees, the
+    leftmost block varying slowest. A block's trees are kept in memory when
+    there are at most _KEEP of them and built again for each use
+    otherwise, so memory is bounded by _KEEP trees per vertex subset, not
+    by the number of trees; the order does not depend on what is kept. The
+    first tree of K8 thus comes without building its 660,032 trees.
     """
     g, rule = _prepare(g, rule, limit, ENUMERATION_LIMIT)
-    memo: dict[int, tuple[AssemblyTree, ...]] = {}
-    yield from _trees(g, rule, g.full_mask(), memo)
+    yield from _build_trees(g, rule, g.full_mask(), {})
 
 
-def _trees(
-    g: Graph, rule: GluingRule, mask: int, memo: dict[int, tuple[AssemblyTree, ...]]
-) -> tuple[AssemblyTree, ...]:
-    found = memo.get(mask)
-    if found is None:
-        found = tuple(_build_trees(g, rule, mask, memo))
-        memo[mask] = found
-    return found
+def _trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterable[AssemblyTree]:
+    """The trees on the masked set. Up to _KEEP of them are built at once
+    and kept, as a tuple, for the rest of the enumeration; a larger pool
+    is marked None in `kept` and streamed again each time it is needed."""
+    pool = kept.get(mask)
+    if pool is not None:
+        return pool
+    stream = _build_trees(g, rule, mask, kept)
+    if mask in kept:
+        return stream
+    pool = tuple(islice(stream, _KEEP + 1))
+    if len(pool) > _KEEP:
+        kept[mask] = None
+        return chain(pool, stream)
+    kept[mask] = pool
+    return pool
 
 
-def _build_trees(g, rule, mask, memo) -> Iterator[AssemblyTree]:
+def _product(g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict) -> Iterator[tuple]:
+    """One tree on each block, in the order of itertools.product: the
+    leftmost block varies slowest. A pool that is not kept is streamed
+    again for each choice of trees on the blocks before it."""
+    pools = tuple(map(kept.get, blocks))
+    if None not in pools:
+        return product(*pools)
+    return _lazy_product(g, rule, blocks, kept)
+
+
+def _lazy_product(
+    g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict
+) -> Iterator[tuple]:
+    rest = blocks[1:]
+    rest_pools = None
+    for t in _trees(g, rule, blocks[0], kept):
+        if rest_pools is None:
+            pools = tuple(map(kept.get, rest))
+            if None not in pools:
+                rest_pools = pools  # a kept pool stays kept
+        if rest_pools is None:
+            tails = _lazy_product(g, rule, rest, kept)
+        else:
+            tails = product(*rest_pools)
+        for tail in tails:
+            yield (t, *tail)
+
+
+def _build_trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterator[AssemblyTree]:
     if mask & (mask - 1) == 0:
         yield leaf(mask.bit_length())
         return
@@ -208,19 +260,20 @@ def _build_trees(g, rule, mask, memo) -> Iterator[AssemblyTree]:
         for a_mask, b_mask in _two_splits(mask):
             if not crossing_mask(g, a_mask, b_mask):
                 continue
-            for left_tree in _trees(g, rule, a_mask, memo):
-                for right_tree in _trees(g, rule, b_mask, memo):
+            for left_tree in _trees(g, rule, a_mask, kept):
+                for right_tree in _trees(g, rule, b_mask, kept):
                     yield AssemblyTree(label, (left_tree, right_tree))
         return
     if not connected_mask(g, mask):
         return
-    for blocks in _partitions_ge1(mask):
+
+    def ok(block: int) -> bool:
+        return block & (block - 1) == 0 or connected_mask(g, block)
+
+    for blocks in _partitions_ge1(mask, ok):
         if len(blocks) == 1:
             return  # the single block, listed last, is not a branching
-        if not all(b & (b - 1) == 0 or connected_mask(g, b) for b in blocks):
-            continue
-        pools = [_trees(g, rule, b, memo) for b in blocks]
-        for combo in product(*pools):
+        for combo in _product(g, rule, blocks, kept):
             yield AssemblyTree(label, combo)
 
 

@@ -15,7 +15,9 @@ Environment: ASMTREE_CACHE_DIR relocates the count cache (default
 ~/.cache/asmtree); ASMTREE_OEIS_BASE_URL enables fetching b-files that are
 not present locally, storing them beside the cache.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid request.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid request. A
+reader that closes stdout early, as `asmtree trees ... | head` does, ends
+the run quietly with exit 0; any other failed write is an error (exit 2).
 """
 
 from __future__ import annotations
@@ -137,8 +139,6 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.no_banner:
-        print(f"asmtree {__version__}")
     handler = {
         "count": _cmd_count,
         "table": _cmd_table,
@@ -147,7 +147,18 @@ def main(argv: list[str] | None = None) -> int:
         "oeis": _cmd_oeis,
     }[args.command]
     try:
-        return handler(args)
+        if not args.no_banner:
+            print(f"asmtree {__version__}")
+        code = handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has all it wants, as with `| head`. Later writes,
+        # including the flush at exit, go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

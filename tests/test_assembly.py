@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asmtree import assembly
 from asmtree.assembly import (
     AssemblyTree,
     branch,
@@ -159,6 +163,62 @@ def test_enumeration_is_deterministic():
         for node in t.walk():
             mins = [min(c.label) for c in node.children]
             assert mins == sorted(mins)
+
+
+def stream_digest(trees) -> tuple[int, str]:
+    """How many trees, and the sha256 of their JSON lines, as `asmtree
+    trees` prints them."""
+    h = hashlib.sha256()
+    n = 0
+    for t in trees:
+        h.update(serialize_tree(t).encode() + b"\n")
+        n += 1
+    return n, h.hexdigest()
+
+
+P9_CONNECTED = (20793, "0bfd45a589882ecf58790293d6ec77125f6a107c56cc2cde21f0cfda69528bed")
+K8_CONNECTED_FIRST_20000 = (
+    20000,
+    "11695be09ce9ace8b1847b53ee5128ab33bbfb526eb2bc133883ff03e17acdf1",
+)
+
+
+def test_streams_through_pools_too_large_to_keep_are_pinned():
+    # Pools above the keep bound, such as P8's 4,279 trees or K6's 2,752,
+    # are streamed rather than kept. The digests were taken when every
+    # pool was built in full before the first tree.
+    p9 = list(enumerate_trees(path(9), "connected"))
+    assert stream_digest(p9) == P9_CONNECTED
+    k8 = itertools.islice(enumerate_trees(complete(8), "connected"), 20000)
+    assert stream_digest(k8) == K8_CONNECTED_FIRST_20000
+    c9 = list(enumerate_trees(cycle(9), "edge"))
+    for g, rule, trees in ((path(9), "connected", p9), (cycle(9), "edge", c9)):
+        assert len(set(trees)) == len(trees) == count_trees(g, rule)
+
+
+def test_streams_are_unchanged_when_little_is_kept(monkeypatch):
+    # With a tiny keep bound nearly every pool is built again for each
+    # choice of trees on the blocks before it.
+    cases = [(complete(6), "connected"), (cycle(7), "edge"), (star(6), "none")]
+    expected = [list(enumerate_trees(g, rule)) for g, rule in cases]
+    monkeypatch.setattr(assembly, "_KEEP", 3)
+    assert stream_digest(enumerate_trees(path(9), "connected")) == P9_CONNECTED
+    assert [list(enumerate_trees(g, rule)) for g, rule in cases] == expected
+
+
+def test_streaming_starts_at_once_and_keeps_memory_flat():
+    start = time.perf_counter()
+    next(enumerate_trees(complete(8), "connected"))
+    assert time.perf_counter() - start < 0.05
+    # K9 has 12.8M trees; building them all first would take gigabytes.
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(enumerate_trees(complete(9), "connected"), 50000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_disconnected_graph_rejected():

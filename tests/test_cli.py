@@ -448,6 +448,24 @@ def test_trees_line_count_matches_count(capsys):
     assert len(out.splitlines()) == 236
 
 
+def test_trees_stop_quietly_when_the_reader_closes_the_pipe():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = "trees --family complete --n 9 --rule connected --no-banner".split()
+    with subprocess.Popen(
+        [sys.executable, "-c", "from asmtree.cli import run; run()", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert parse_tree(first).label == frozenset(range(1, 10))
+    assert (proc.returncode, err) == (0, "")
+
+
 def test_trees_respects_the_enumeration_cap(capsys):
     code, _, err = run_cli(
         capsys,
