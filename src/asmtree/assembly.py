@@ -679,7 +679,8 @@ def tree_from_dict(data: object) -> AssemblyTree:
         if not isinstance(d, dict):
             raise ValueError("every tree node must be an object")
         raw_label = d.get("label")
-        if not isinstance(raw_label, list) or not all(isinstance(v, int) for v in raw_label):
+        # type(v) is int: JSON true and false load as bools, ints to isinstance
+        if not isinstance(raw_label, list) or not all(type(v) is int for v in raw_label):
             raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
         if ("time" in d) != timed:
             raise ValueError("mixed timed and untimed nodes")
@@ -687,7 +688,7 @@ def tree_from_dict(data: object) -> AssemblyTree:
         if not isinstance(raw_children, list):
             raise ValueError('"children" must be a list')
         kids = tuple(build(c) for c in raw_children)
-        if timed and not isinstance(d["time"], int):
+        if timed and type(d["time"]) is not int:
             raise ValueError(f'"time" must be an int, got {d["time"]!r}')
         return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 

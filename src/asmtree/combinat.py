@@ -84,5 +84,7 @@ def count_compositions_1_2(n: int, k: int) -> int:
 
     Such a composition has n - k twos among its k parts, so the count is
     C(k, n - k) = C(k, 2k - n), vanishing outside ceil(n/2) <= k <= n.
+    `formulas.td_edge_path` weighs a first time step by it: the blocks it
+    leaves on a path of n vertices are such a composition.
     """
     return binomial(k, 2 * k - n)

@@ -3,9 +3,11 @@ families: stars, paths, cycles and complete graphs, plain and timed.
 
 Every function here has a brute-force counterpart in `assembly`; the test
 suite drives both over shared ranges and the two must agree exactly. All
-results are plain ints and all recursions are memoized, so a warm process
-answers repeated queries instantly; the memos fill from small n upward, so
-the stack depth does not grow with n.
+results are plain ints. Each recursive count takes the first decision (the
+root's child holding vertex 1, or the first time step), counts the ways to
+make it, and recurses on a smaller member of the same family: one memoised
+recurrence, `_recurrence`, serves them all and fills from small n upward,
+so the stack depth does not grow with n.
 
 Naming: the count for a star or path on n vertices takes n as written on
 the graph. The one- and two-vertex cycles and the one-vertex complete
@@ -15,11 +17,13 @@ constructible graphs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import inspect
+from functools import lru_cache, wraps
 from typing import Callable, NamedTuple
 
 from .combinat import (
     binomial,
+    count_compositions_1_2,
     factorial,
     memo_upward,
     stirling2,
@@ -48,23 +52,38 @@ def connected_star(total: int) -> int:
     return fubini(total - 1)
 
 
-@memo_upward(1)
-def super_catalan(n: int) -> int:
+def _recurrence(weight: Callable[[int, int], int]) -> Callable[[int], int]:
+    """The count T(1) = T(2) = 1, T(n) = sum over j < n of weight(n, j) T(j),
+    where weight(n, j) counts the first decisions that leave size j. T keeps
+    the weight's name and docstring and rejects n < 1; its memo fills
+    upward, so a weight may call T below n."""
+
+    @memo_upward(1)
+    @wraps(weight)
+    def count(n: int) -> int:
+        if n < 1:
+            raise ValueError(f"{weight.__name__} is undefined for n={n}")
+        if n <= 2:
+            return 1
+        return sum(weight(n, j) * count(j) for j in range(1, n))
+
+    # help() and inspect show T's (n), not the weight's (n, j)
+    count.__signature__ = inspect.signature(count, follow_wrapped=False)
+    return count
+
+
+def _forests(count: Callable[[int], int], m: int) -> int:
+    """Forests of m >= 2 leaves are one tree or a root's children, so 2
+    count(m) of them; there is one forest for m <= 1."""
+    return 1 if m <= 1 else 2 * count(m)
+
+
+@_recurrence
+def super_catalan(n: int, j: int) -> int:
     """Plane trees with n leaves and no single-child nodes (1, 1, 3, 11,
-    45, 197, ... for n = 1, 2, 3, ...)."""
-    if n < 1:
-        raise ValueError(f"super_catalan is undefined for n={n}")
-    if n == 1:
-        return 1
-    return sum(super_catalan(j) * _ordered_forest(n - j) for j in range(1, n))
-
-
-@memo_upward(0)
-def _ordered_forest(m: int) -> int:
-    """Ordered sequences of plane trees with m leaves in total."""
-    if m == 0:
-        return 1
-    return sum(super_catalan(j) * _ordered_forest(m - j) for j in range(1, m + 1))
+    45, 197, ... for n = 1, 2, 3, ...): the root's first subtree has j
+    leaves, and an ordered forest holds the other n - j."""
+    return _forests(super_catalan, n - j)
 
 
 def connected_path(n: int) -> int:
@@ -88,7 +107,7 @@ def connected_cycle(n: int) -> int:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return sum(
-        first * super_catalan(first) * _ordered_forest(n - first)
+        first * super_catalan(first) * _forests(super_catalan, n - first)
         for first in range(1, n)
     )
 
@@ -110,29 +129,15 @@ def connected_cycle_closed(n: int, variant: str = "a") -> int:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@memo_upward(1)
-def connected_complete(n: int) -> int:
+@_recurrence
+def connected_complete(n: int, k: int) -> int:
     """Connected-rule assembly trees of the complete graph on n vertices.
 
     Every label is connected here, so this also counts rule-free assembly
     trees of any n-vertex graph. The root's child holding vertex 1 has k
-    vertices (C(n-1, k-1) ways, T(k) trees); the other n - k vertices form
-    any forest, and a forest on m >= 2 vertices is one tree or the children
-    of a root, so there are 2 T(m) of them (1 for m <= 1).
+    vertices, C(n-1, k-1) ways; the other n - k form any forest.
     """
-    if n < 1:
-        raise ValueError("complete graphs need at least 1 vertex")
-    if n == 1:
-        return 1
-    return sum(
-        binomial(n - 1, k - 1) * connected_complete(k) * _complete_forests(n - k)
-        for k in range(1, n)
-    )
-
-
-def _complete_forests(m: int) -> int:
-    """Rule-free assembly forests on m labelled vertices."""
-    return 1 if m <= 1 else 2 * connected_complete(m)
+    return binomial(n - 1, k - 1) * _forests(connected_complete, n - k)
 
 
 def td_connected_star(total: int) -> int:
@@ -155,28 +160,19 @@ def td_connected_path(n: int) -> int:
     return fubini(n - 1)
 
 
-@memo_upward(1)
-def td_connected_cycle(n: int) -> int:
-    """Timed connected-rule trees of the cycle: 1 for the all-at-once tree
-    plus, for each first-step outcome with j surviving arcs, C(n, j) ways
-    to cut the cycle and a timed count of the quotient j-cycle."""
-    if n < 1:
-        raise ValueError(f"td_connected_cycle is undefined for n={n}")
-    if n <= 2:
-        return 1
-    return 1 + sum(binomial(n, j) * td_connected_cycle(j) for j in range(2, n))
+@_recurrence
+def td_connected_cycle(n: int, j: int) -> int:
+    """Timed connected-rule trees of the cycle: the first time step merges
+    the arcs between j cut edges, C(n, j) ways for j >= 2 and one way for
+    j = 1 (all at once), leaving the quotient j-cycle."""
+    return binomial(n, j) if j >= 2 else 1
 
 
-@memo_upward(1)
-def td_connected_complete(n: int) -> int:
-    """Timed connected-rule trees of the complete graph: the first step
-    picks a partition into j blocks (stirling2(n, j) ways) and the rest is
-    a timed count of the quotient K_j."""
-    if n < 1:
-        raise ValueError(f"td_connected_complete is undefined for n={n}")
-    if n <= 2:
-        return 1
-    return sum(stirling2(n, j) * td_connected_complete(j) for j in range(1, n))
+@_recurrence
+def td_connected_complete(n: int, j: int) -> int:
+    """Timed connected-rule trees of the complete graph: the first time
+    step forms j blocks, stirling2(n, j) ways, leaving the quotient K_j."""
+    return stirling2(n, j)
 
 
 def td_edge_star(total: int) -> int:
@@ -187,48 +183,31 @@ def td_edge_star(total: int) -> int:
     return factorial(total - 1)
 
 
-@memo_upward(1)
-def td_edge_path(n: int) -> int:
-    """Timed edge-rule trees of the path on n vertices: the first step
-    merges j disjoint adjacent pairs (C(n-j, n-2j) placements) and leaves
-    a path on n - j blocks."""
-    if n < 1:
-        raise ValueError(f"td_edge_path is undefined for n={n}")
-    if n <= 2:
-        return 1
-    return sum(
-        binomial(n - j, n - 2 * j) * td_edge_path(n - j) for j in range(1, n // 2 + 1)
-    )
+@_recurrence
+def td_edge_path(n: int, j: int) -> int:
+    """Timed edge-rule trees of the path: the first time step merges
+    disjoint adjacent pairs, leaving a path of j blocks whose sizes are a
+    composition of n into parts 1 and 2."""
+    return count_compositions_1_2(n, j)
 
 
-@memo_upward(1)
-def td_edge_cycle(n: int) -> int:
-    """Timed edge-rule trees of the cycle; like td_edge_path but the pair
-    placements wrap around, contributing the second binomial."""
-    if n < 1:
-        raise ValueError(f"td_edge_cycle is undefined for n={n}")
-    if n <= 2:
-        return 1
-    return sum(
-        (binomial(n - j, n - 2 * j) + binomial(n - j - 1, n - 2 * j))
-        * td_edge_cycle(n - j)
-        for j in range(1, n // 2 + 1)
-    )
+@_recurrence
+def td_edge_cycle(n: int, j: int) -> int:
+    """Timed edge-rule trees of the cycle: the first time step merges
+    n - j disjoint edges, leaving a j-cycle; the edge {n, 1} is left as on
+    a path (C(j, 2j-n) ways) or merged (C(j-1, 2j-n))."""
+    return binomial(j, 2 * j - n) + binomial(j - 1, 2 * j - n)
 
 
-@memo_upward(1)
-def td_edge_complete(n: int) -> int:
-    """Timed edge-rule trees of the complete graph: the first step picks i
-    disjoint unordered pairs, n! / (2^i i! (n-2i)!) ways, leaving K_{n-i}."""
-    if n < 1:
-        raise ValueError(f"td_edge_complete is undefined for n={n}")
-    if n <= 2:
-        return 1
-    return sum(
-        factorial(n) // (2**i * factorial(i) * factorial(n - 2 * i))
-        * td_edge_complete(n - i)
-        for i in range(1, n // 2 + 1)
-    )
+@_recurrence
+def td_edge_complete(n: int, j: int) -> int:
+    """Timed edge-rule trees of the complete graph: the first time step
+    merges i = n - j disjoint pairs, n! / (2^i i! (n-2i)!) ways, leaving
+    K_j; none when 2j < n."""
+    if 2 * j < n:
+        return 0
+    i = n - j
+    return factorial(n) // (2**i * factorial(i) * factorial(n - 2 * i))
 
 
 class SequenceFormula(NamedTuple):

@@ -205,7 +205,9 @@ def graph_from_json(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("n"), int):
+    # type(x) is int, not isinstance: JSON true and false load as bools,
+    # which are ints to isinstance.
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise ValueError('graph JSON must be an object with an integer "n"')
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -215,7 +217,7 @@ def graph_from_json(text: str) -> Graph:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(type(x) is int for x in item)
         ):
             raise ValueError(f"bad edge entry {item!r}; expected [u, v]")
         edges.append((item[0], item[1]))

@@ -620,6 +620,13 @@ def test_parse_tree_rejects_malformed_input():
         # timed root with an untimed child
         '{"label":[1,2],"time":1,"children":[{"label":[1],"children":[]},'
         '{"label":[2],"time":0,"children":[]}]}',
+        # JSON booleans in place of a vertex or a time: P2 read as [1, 2]
+        '{"label":[true,2],"time":true,"children":[{"label":[true],"time":false,'
+        '"children":[]},{"label":[2],"time":0,"children":[]}]}',
+        '{"label":[1,2],"time":1,"children":[{"label":[1],"time":false,'
+        '"children":[]},{"label":[2],"time":0,"children":[]}]}',
+        '{"label":[true,2],"children":[{"label":[1],"children":[]},'
+        '{"label":[2],"children":[]}]}',
     ]
     for text in bad:
         with pytest.raises(ValueError):

@@ -160,6 +160,46 @@ def test_count_rejects_unanswerable_requests(capsys):
         assert err.startswith("error:")
 
 
+def test_count_rejects_json_booleans_in_a_graph_file(capsys, tmp_path):
+    for i, text in enumerate(
+        ['{"n": true, "edges": []}', '{"n": 2, "edges": [[true, 2]]}']
+    ):
+        gf = tmp_path / f"bool{i}.json"
+        gf.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "count", "--family", "custom", "--graph-file", str(gf),
+            "--rule", "connected", "--no-banner", "--no-cache",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import asmtree.cli
+loaded = set(sys.modules) - before
+foreign = sorted(
+    m for m in loaded
+    if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "asmtree"
+)
+print(foreign, "urllib.request" in sys.modules)
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package has no runtime dependencies, and the CLI loads the
+    # network stack only when it fetches a b-file
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CLI],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[] False\n"
+
+
 def test_count_cross_check_catches_a_wrong_formula(capsys, monkeypatch):
     real = formulas.formula_for
 

@@ -1,6 +1,15 @@
+import inspect
+from collections import Counter
+
 import pytest
 
-from asmtree.assembly import count_timed_trees, count_trees
+from asmtree.assembly import (
+    count_timed_trees,
+    count_trees,
+    enumerate_timed_trees,
+    enumerate_trees,
+    frontier_partition,
+)
 from asmtree.combinat import factorial
 from asmtree.formulas import (
     connected_complete,
@@ -180,6 +189,51 @@ def test_plain_edge_counts_without_formulas():
     assert [count_trees(complete(n), "edge") for n in range(1, 8)] == [
         1, 1, 3, 15, 105, 945, 10395,  # double factorials (2n-3)!!
     ]
+
+
+# ------------------------------------------ one recurrence, weight by weight
+#
+# Each recursive count is T(n) = sum over j of weight(n, j) T(j), where
+# weight(n, j) counts the first decisions that leave size j. Sorting the
+# enumerated trees by the size their first decision leaves must give
+# exactly those terms.
+
+
+def first_decisions(fn, n):
+    weight = inspect.unwrap(fn)
+    terms = {j: weight(n, j) * fn(j) for j in range(1, n)}
+    return {j: term for j, term in terms.items() if term}
+
+
+@pytest.mark.parametrize(
+    "fn, build, rule",
+    [
+        (td_connected_cycle, cycle, "connected"),
+        (td_connected_complete, complete, "connected"),
+        (td_edge_path, path, "edge"),
+        (td_edge_cycle, cycle, "edge"),
+        (td_edge_complete, complete, "edge"),
+    ],
+)
+def test_timed_weights_count_first_time_steps(fn, build, rule):
+    # the first time step leaves as many blocks as the partition at time 1
+    for n in range(3, 7):
+        hist = Counter(
+            len(frontier_partition(t, 1)) for t in enumerate_timed_trees(build(n), rule)
+        )
+        assert hist == first_decisions(fn, n)
+
+
+@pytest.mark.parametrize(
+    "fn, build", [(super_catalan, path), (connected_complete, complete)]
+)
+def test_plain_weights_count_the_child_holding_vertex_1(fn, build):
+    # children are in canonical order, so the first one holds vertex 1
+    for n in range(3, 8):
+        hist = Counter(
+            len(t.children[0].label) for t in enumerate_trees(build(n), "connected")
+        )
+        assert hist == first_decisions(fn, n)
 
 
 # -------------------------------------------------------------- the registry

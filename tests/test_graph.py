@@ -215,6 +215,9 @@ def test_json_rejects_malformed_input():
         '{"n": 3, "edges": [[1]]}',
         '{"n": 3, "edges": [[1, "2"]]}',
         '{"n": 3, "edges": [[1, 4]]}',
+        # JSON booleans are not integers, though bool subclasses int
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[true, 2]]}',
     ]:
         with pytest.raises(ValueError):
             graph_from_json(text)
