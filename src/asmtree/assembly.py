@@ -12,7 +12,8 @@ rule restricts which trees are admissible:
              set is connected, and is counted and enumerated as such,
 * CONNECTED  every label must induce a connected subgraph,
 * EDGE       every internal node has exactly two children with at least
-             one edge of the graph running between them.
+             one edge of the graph running between them; these are the
+             binary CONNECTED trees, and are counted and enumerated as such.
 
 A timed assembly tree additionally stamps every node with a build time:
 leaves sit at time 0, each parent is strictly later than each of its
@@ -42,7 +43,6 @@ from .graph import (
     Graph,
     complete,
     connected_mask,
-    crossing_mask,
     has_crossing_edge,
     is_connected_induced,
     iter_bits,
@@ -229,48 +229,31 @@ def _product(g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict) ->
     again for each choice of trees on the blocks before it."""
     pools = tuple(map(kept.get, blocks))
     if None not in pools:
-        return product(*pools)
-    return _lazy_product(g, rule, blocks, kept)
-
-
-def _lazy_product(
-    g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict
-) -> Iterator[tuple]:
-    rest = blocks[1:]
-    rest_pools = None
-    for t in _trees(g, rule, blocks[0], kept):
-        if rest_pools is None:
-            pools = tuple(map(kept.get, rest))
-            if None not in pools:
-                rest_pools = pools  # a kept pool stays kept
-        if rest_pools is None:
-            tails = _lazy_product(g, rule, rest, kept)
-        else:
-            tails = product(*rest_pools)
-        for tail in tails:
-            yield (t, *tail)
+        yield from product(*pools)
+        return
+    for head in _product(g, rule, blocks[:-1], kept):
+        for t in _trees(g, rule, blocks[-1], kept):
+            yield (*head, t)
 
 
 def _build_trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterator[AssemblyTree]:
     if mask & (mask - 1) == 0:
         yield leaf(mask.bit_length())
         return
-    label = mask_vertices(mask)
-    if rule is GluingRule.EDGE:
-        for a_mask, b_mask in _two_splits(mask):
-            if not crossing_mask(g, a_mask, b_mask):
-                continue
-            for left_tree in _trees(g, rule, a_mask, kept):
-                for right_tree in _trees(g, rule, b_mask, kept):
-                    yield AssemblyTree(label, (left_tree, right_tree))
-        return
     if not connected_mask(g, mask):
         return
+    label = mask_vertices(mask)
 
     def ok(block: int) -> bool:
         return block & (block - 1) == 0 or connected_mask(g, block)
 
-    for blocks in _partitions_ge1(mask, ok):
+    # EDGE trees are the binary CONNECTED trees (see _count_edge), and
+    # _two_splits lists the two-block partitions in _partitions_ge1's order.
+    if rule is GluingRule.EDGE:
+        branchings = (split for split in _two_splits(mask) if ok(split[0]) and ok(split[1]))
+    else:
+        branchings = _partitions_ge1(mask, ok)
+    for blocks in branchings:
         if len(blocks) == 1:
             return  # the single block, listed last, is not a branching
         for combo in _product(g, rule, blocks, kept):
@@ -280,16 +263,13 @@ def _build_trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterator[
 def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -> int:
     """Number of assembly trees of g under the rule.
 
-    Memoized recursion keyed by the vertex subset alone: a subset's count
-    sums, over its partitions into admissible blocks (two-splits with a
-    crossing edge for EDGE), the product of the block counts. Agrees with
+    Memoized recursion keyed by the vertex subset alone: a connected
+    subset's count sums, over its partitions into connected blocks (only
+    the two-splits for EDGE), the product of the block counts. Agrees with
     len(list(enumerate_trees(...))) wherever enumeration is feasible and
     goes considerably further (default cap COUNTING_LIMIT).
     """
     g, rule = _prepare(g, rule, limit, COUNTING_LIMIT)
-    full = g.full_mask()
-    if rule is GluingRule.EDGE:
-        return _count_edge(g, full, {})
     if g.n == 1:
         return 1
     conn: dict[int, bool] = {}
@@ -300,7 +280,9 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
             hit = conn[m] = connected_mask(g, m)
         return hit
 
-    return _forests(full, label_ok, {}) >> 1
+    if rule is GluingRule.EDGE:
+        return _count_edge(g.full_mask(), label_ok, {})
+    return _forests(g.full_mask(), label_ok, {}) >> 1
 
 
 def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
@@ -336,16 +318,21 @@ def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
     return total
 
 
-def _count_edge(g: Graph, mask: int, memo: dict[int, int]) -> int:
+def _count_edge(mask: int, label_ok, memo: dict[int, int]) -> int:
+    """T(S) under EDGE, which is 0 for a disconnected S and otherwise sums
+    T(A) T(B) over the two-splits of S into connected sides A and B: an
+    edge joins two connected sides exactly when their union is connected,
+    so the EDGE trees are the binary CONNECTED trees."""
     if mask & (mask - 1) == 0:
         return 1
     cached = memo.get(mask)
     if cached is not None:
         return cached
     total = 0
-    for a_mask, b_mask in _two_splits(mask):
-        if crossing_mask(g, a_mask, b_mask):
-            total += _count_edge(g, a_mask, memo) * _count_edge(g, b_mask, memo)
+    if label_ok(mask):
+        for a_mask, b_mask in _two_splits(mask):
+            if label_ok(a_mask) and label_ok(b_mask):
+                total += _count_edge(a_mask, label_ok, memo) * _count_edge(b_mask, label_ok, memo)
     memo[mask] = total
     return total
 

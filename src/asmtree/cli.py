@@ -495,3 +495,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         raise ValueError("no overlapping terms between the b-file and the formula domain")
     print(f"PASS ({compared} terms)")
     return 0
+
+
+if __name__ == "__main__":
+    run()

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -181,17 +182,20 @@ K8_CONNECTED_FIRST_20000 = (
     20000,
     "11695be09ce9ace8b1847b53ee5128ab33bbfb526eb2bc133883ff03e17acdf1",
 )
+C9_EDGE = (6435, "6a15e1b37810842e1e2db47a3d7827321536457db740c7b26ffa57bb23bd3ec8")
 
 
 def test_streams_through_pools_too_large_to_keep_are_pinned():
     # Pools above the keep bound, such as P8's 4,279 trees or K6's 2,752,
-    # are streamed rather than kept. The digests were taken when every
-    # pool was built in full before the first tree.
+    # are streamed rather than kept. The P9 and K8 digests were taken when
+    # every pool was built in full before the first tree, the C9 one when
+    # EDGE still tested each two-split for a crossing edge.
     p9 = list(enumerate_trees(path(9), "connected"))
     assert stream_digest(p9) == P9_CONNECTED
     k8 = itertools.islice(enumerate_trees(complete(8), "connected"), 20000)
     assert stream_digest(k8) == K8_CONNECTED_FIRST_20000
     c9 = list(enumerate_trees(cycle(9), "edge"))
+    assert stream_digest(c9) == C9_EDGE
     for g, rule, trees in ((path(9), "connected", p9), (cycle(9), "edge", c9)):
         assert len(set(trees)) == len(trees) == count_trees(g, rule)
 
@@ -538,6 +542,37 @@ def test_rules_nest():
             conn_set = set(enumerate_trees(g, "connected"))
             none_set = set(enumerate_trees(g, "none"))
             assert edge_set <= conn_set <= none_set
+
+
+def test_edge_trees_are_the_binary_connected_trees():
+    # Every label of an EDGE tree is connected, and a connected set split
+    # into two connected sides has an edge across: the EDGE stream is the
+    # CONNECTED stream cut down to binary trees, in the same order.
+    graphs = [g for n in range(3, 8) for _, g in families(n)]
+    rng = random.Random(8)
+    for n in (4, 5, 6, 7, 7):
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        while len(edges) < n + 2:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        graphs.append(Graph(n, edges))
+    perm = list(range(1, 8))
+    rng.shuffle(perm)
+    graphs.append(Graph(7, [(perm[u - 1], perm[v - 1]) for u, v in graphs[-1].edges]))
+    for g in graphs:
+        binary = [
+            t for t in enumerate_trees(g, "connected")
+            if all(len(node.children) in (0, 2) for node in t.walk())
+        ]
+        assert list(enumerate_trees(g, "edge")) == binary
+
+
+def test_plain_edge_counts_at_the_counting_cap():
+    # Bóna and Vince's counts: Catalan(n-1) on paths, C(2n-3, n-1) on
+    # cycles, (n-1)! on stars and (2n-3)!! on complete graphs.
+    assert count_trees(path(16), "edge") == binomial(30, 15) // 16
+    assert count_trees(cycle(16), "edge") == binomial(29, 15)
+    assert count_trees(star(12), "edge") == math.factorial(11)
+    assert count_trees(complete(11), "edge") == math.prod(range(1, 20, 2))
 
 
 def test_unrestricted_rule_ignores_graph_structure():

@@ -506,6 +506,17 @@ def test_trees_stop_quietly_when_the_reader_closes_the_pipe():
     assert (proc.returncode, err) == (0, "")
 
 
+@pytest.mark.parametrize("module", ["asmtree", "asmtree.cli"])
+def test_runs_as_a_module(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = "count --family star --rule connected --n 5 --no-banner --no-cache".split()
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "75\n", "")
+
+
 def test_trees_respects_the_enumeration_cap(capsys):
     code, _, err = run_cli(
         capsys,
