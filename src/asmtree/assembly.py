@@ -40,13 +40,14 @@ from itertools import chain, islice, product
 from typing import Callable, Iterable, Iterator
 
 from .graph import (
+    MAX_VERTICES,
     Graph,
     complete,
     connected_mask,
-    has_crossing_edge,
-    is_connected_induced,
+    crossing_mask,
     iter_bits,
     mask_vertices,
+    vertex_mask,
 )
 
 ENUMERATION_LIMIT = 9
@@ -80,9 +81,11 @@ class AssemblyTree:
 
     def walk(self) -> Iterator["AssemblyTree"]:
         """Preorder traversal of the subtree."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def untimed(self) -> "AssemblyTree":
         """The same tree with the time stamps dropped."""
@@ -569,74 +572,85 @@ def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list
 
     Checks run directly against the definition, sharing nothing with the
     enumerators, so they can audit enumerator output. Reasons are short
-    stable strings meant for both humans and tests.
+    stable strings meant for both humans and tests. One walk lists the
+    nodes in preorder and every check reads that list; a reason's string
+    is built only when that error is found.
     """
     rule = GluingRule(rule)
     errors: list[str] = []
+    nodes = list(t.walk())
     timed = t.time is not None
     universe = g.vertices()
 
     if t.label != universe:
         errors.append(f"root: label {_set_str(t.label)} is not the full vertex set")
-    mixed = [node for node in t.walk() if (node.time is not None) != timed]
+    mixed = [node for node in nodes if (node.time is not None) != timed]
     for node in mixed:
         errors.append(f"node {_set_str(node.label)}: timed and untimed nodes mix")
     # The time checks below compare times, so they need one on every node.
     timed = timed and not mixed
 
     leaf_labels: list[frozenset[int]] = []
-    for node in t.walk():
-        name = _set_str(node.label)
-        if not node.label:
+    for node in nodes:
+        label = node.label
+        if not label:
             errors.append("node: empty label")
             continue
-        if not node.label <= universe:
-            errors.append(f"node {name}: label outside vertex range 1..{g.n}")
+        if not label <= universe:
+            errors.append(f"node {_set_str(label)}: label outside vertex range 1..{g.n}")
             continue
-        if node.children:
-            if len(node.children) < 2:
-                errors.append(f"node {name}: internal nodes need at least two children")
-            union = frozenset().union(*(c.label for c in node.children))
-            if union != node.label:
-                errors.append(f"node {name}: label is not the union of its children")
-            if len(union) != sum(len(c.label) for c in node.children):
-                errors.append(f"node {name}: children labels overlap")
-            if rule is GluingRule.CONNECTED and union <= universe and union:
-                if len(node.label) >= 2 and not is_connected_induced(g, node.label):
-                    errors.append(f"node {name}: label does not induce a connected subgraph")
-            if rule is GluingRule.EDGE:
-                if len(node.children) != 2:
-                    errors.append(f"node {name}: edge rule requires exactly two children")
-                else:
-                    a, b = (c.label for c in node.children)
-                    if a and b and not a & b and a | b <= universe:
-                        if not has_crossing_edge(g, a, b):
-                            errors.append(
-                                f"node {name}: no edge joins {_set_str(a)} and {_set_str(b)}"
-                            )
-            if timed:
-                for child in node.children:
-                    if child.time >= node.time:
-                        errors.append(
-                            f"node {name}: child {_set_str(child.label)} is not strictly earlier"
-                        )
-        else:
-            leaf_labels.append(node.label)
-            if len(node.label) != 1:
-                errors.append(f"leaf {name}: leaves must carry singletons")
+        kids = node.children
+        if not kids:
+            leaf_labels.append(label)
+            if len(label) != 1:
+                errors.append(f"leaf {_set_str(label)}: leaves must carry singletons")
             if timed and node.time != 0:
-                errors.append(f"leaf {name}: leaves must sit at time 0")
+                errors.append(f"leaf {_set_str(label)}: leaves must sit at time 0")
+            continue
+        if len(kids) < 2:
+            errors.append(f"node {_set_str(label)}: internal nodes need at least two children")
+        labels = [c.label for c in kids]
+        union = frozenset().union(*labels)
+        if union != label:
+            errors.append(f"node {_set_str(label)}: label is not the union of its children")
+        if len(union) != sum(map(len, labels)):
+            errors.append(f"node {_set_str(label)}: children labels overlap")
+        if rule is GluingRule.CONNECTED and len(label) >= 2 and union and union <= universe:
+            if not connected_mask(g, vertex_mask(label)):
+                errors.append(
+                    f"node {_set_str(label)}: label does not induce a connected subgraph"
+                )
+        if rule is GluingRule.EDGE:
+            if len(kids) != 2:
+                errors.append(f"node {_set_str(label)}: edge rule requires exactly two children")
+            else:
+                a, b = labels
+                if a and b and not a & b and a | b <= universe:
+                    if not crossing_mask(g, vertex_mask(a), vertex_mask(b)):
+                        errors.append(
+                            f"node {_set_str(label)}: no edge joins {_set_str(a)} and {_set_str(b)}"
+                        )
+        if timed:
+            for child in kids:
+                if child.time >= node.time:
+                    errors.append(
+                        f"node {_set_str(label)}: child {_set_str(child.label)} is not strictly earlier"
+                    )
 
-    expected_leaves = sorted(sorted(s) for s in (frozenset((v,)) for v in universe))
-    if sorted(sorted(s) for s in leaf_labels) != expected_leaves:
+    # Exactly the n singletons: n nonempty labels of total size n whose
+    # union is the vertex set.
+    if not (
+        len(leaf_labels) == g.n == sum(map(len, leaf_labels))
+        and frozenset().union(*leaf_labels) == universe
+    ):
         errors.append("leaves: must be exactly the n singletons, each once")
 
     if timed and not errors:
-        occupied = {node.time for node in t.walk()}
+        occupied = {node.time for node in nodes}
         if occupied != set(range(t.time + 1)):
             missing = sorted(set(range(t.time + 1)) - occupied)
             errors.append(f"times: values {missing} are unoccupied below the root time {t.time}")
-        if any(node.time >= t.time for node in t.walk() if node is not t):
+        if any(node.time >= t.time for node in nodes[1:]):
             errors.append("times: the root must sit strictly above every other node")
 
     return errors
@@ -662,36 +676,51 @@ def tree_from_dict(data: object) -> AssemblyTree:
         raise ValueError("tree JSON must be an object")
     timed = "time" in data
 
-    def build(d: object) -> AssemblyTree:
+    def build(d: object, depth: int) -> AssemblyTree:
         if not isinstance(d, dict):
             raise ValueError("every tree node must be an object")
+        # Each internal node on a path down from the root has a child off
+        # the path, so a tree of depth d has at least d + 1 leaves.
+        if depth >= MAX_VERTICES:
+            raise ValueError(f"tree nests deeper than {MAX_VERTICES - 1} levels")
         raw_label = d.get("label")
-        # type(v) is int: JSON true and false load as bools, ints to isinstance
-        if not isinstance(raw_label, list) or not all(type(v) is int for v in raw_label):
+        # Exact types, not isinstance: JSON true and false load as bools,
+        # which are ints to isinstance.
+        if not isinstance(raw_label, list) or not {*map(type, raw_label)} <= {int}:
             raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
         if ("time" in d) != timed:
             raise ValueError("mixed timed and untimed nodes")
         raw_children = d.get("children", [])
         if not isinstance(raw_children, list):
             raise ValueError('"children" must be a list')
-        kids = tuple(build(c) for c in raw_children)
+        kids = tuple([build(c, depth + 1) for c in raw_children])
         if timed and type(d["time"]) is not int:
             raise ValueError(f'"time" must be an int, got {d["time"]!r}')
         return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
-    return build(data)
+    return build(data, 0)
 
 
 def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
     """Canonical text form of a tree: single-line JSON or a DOT digraph.
 
-    Node labels render as "{1,2,3}" with "@time" appended for timed trees.
+    The JSON is json.dumps(tree_to_dict(t), separators=(",", ":")) for
+    int labels and times, built in one pass. DOT node labels render as
+    "{1,2,3}" with "@time" appended for timed trees.
     """
     if fmt == "json":
-        return json.dumps(tree_to_dict(t), separators=(",", ":"))
+        return _to_json(t)
     if fmt == "dot":
         return _to_dot(t)
     raise ValueError(f"unknown tree format {fmt!r}")
+
+
+def _to_json(t: AssemblyTree) -> str:
+    label = ",".join(map(str, sorted(t.label)))
+    kids = ",".join([_to_json(c) for c in t.children])
+    if t.time is None:
+        return f'{{"label":[{label}],"children":[{kids}]}}'
+    return f'{{"label":[{label}],"time":{t.time},"children":[{kids}]}}'
 
 
 def parse_tree(text: str) -> AssemblyTree:
@@ -700,6 +729,8 @@ def parse_tree(text: str) -> AssemblyTree:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("tree JSON nests too deeply") from None
     return tree_from_dict(data)
 
 

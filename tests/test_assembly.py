@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -38,6 +40,7 @@ from oracles import (
     count_timings_by_listing,
     count_trees_by_listing,
     rule_ok,
+    walk,
 )
 
 RULES = ("none", "connected", "edge")
@@ -350,6 +353,246 @@ def test_timed_validation_error_reasons():
     assert errors == [f"node {{{v}}}: timed and untimed nodes mix" for v in (1, 2)]
 
 
+def node(label, *children, time=None):
+    return AssemblyTree(frozenset(label), children, time)
+
+
+def test_validation_error_lists_are_pinned():
+    """Every reason validation_errors can give, in order, on hand-made
+    trees, several with more than one fault. "times: the root must sit
+    strictly above every other node" cannot appear: that check runs only
+    once every child is strictly earlier than its parent."""
+    p3, p4 = path(3), path(4)
+    leaves = "leaves: must be exactly the n singletons, each once"
+    cases = [
+        (p3, node({1, 2, 3}, node({1, 2}, leaf(1), leaf(2)), leaf(3)), "edge", []),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}, timed_leaf(1), timed_leaf(2), time=1), timed_leaf(3), time=2),
+            "connected",
+            [],
+        ),
+        (p3, node({1, 2}, leaf(1), leaf(2)), "none", ["root: label {1,2} is not the full vertex set", leaves]),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}, leaf(1), leaf(2)), node({2, 3}, leaf(2), leaf(3))),
+            "none",
+            ["node {1,2,3}: children labels overlap", leaves],
+        ),
+        # overlap plus a missing leaf
+        (
+            p4,
+            node({1, 2, 3, 4}, node({1, 2}, leaf(1), leaf(2)), node({2, 3}, leaf(2), leaf(3))),
+            "connected",
+            [
+                "node {1,2,3,4}: label is not the union of its children",
+                "node {1,2,3,4}: children labels overlap",
+                leaves,
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2, 3}, leaf(1), leaf(2), leaf(3))),
+            "none",
+            ["node {1,2,3}: internal nodes need at least two children"],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2, 3}, leaf(1), leaf(2), leaf(3))),
+            "edge",
+            [
+                "node {1,2,3}: internal nodes need at least two children",
+                "node {1,2,3}: edge rule requires exactly two children",
+                "node {1,2,3}: edge rule requires exactly two children",
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 5}, leaf(1), leaf(2), leaf(5)),
+            "none",
+            [
+                "root: label {1,2,5} is not the full vertex set",
+                "node {1,2,5}: label outside vertex range 1..3",
+                "node {5}: label outside vertex range 1..3",
+                leaves,
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 3, 7}, leaf(1), leaf(3), leaf(7)), leaf(2)),
+            "connected",
+            [
+                "node {1,2,3}: label is not the union of its children",
+                "node {1,3,7}: label outside vertex range 1..3",
+                "node {7}: label outside vertex range 1..3",
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 7}, leaf(1), leaf(7)), node({2, 3}, leaf(2), leaf(3))),
+            "edge",
+            [
+                "node {1,2,3}: label is not the union of its children",
+                "node {1,7}: label outside vertex range 1..3",
+                "node {7}: label outside vertex range 1..3",
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}), leaf(3)),
+            "none",
+            ["leaf {1,2}: leaves must carry singletons", leaves],
+        ),
+        # n leaves covering the vertex set, but not as singletons
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}), node({2, 3}), leaf(1)),
+            "none",
+            [
+                "node {1,2,3}: children labels overlap",
+                "leaf {1,2}: leaves must carry singletons",
+                "leaf {2,3}: leaves must carry singletons",
+                leaves,
+            ],
+        ),
+        (path(2), node({1, 2}, node(()), leaf(1), leaf(2)), "connected", ["node: empty label"]),
+        (
+            Graph(1),
+            node(()),
+            "none",
+            ["root: label {} is not the full vertex set", "node: empty label", leaves],
+        ),
+        (path(2), node({1, 2}, node(()), node({1, 2}, leaf(1), leaf(2))), "edge", ["node: empty label"]),
+        (
+            p3,
+            node({1, 2, 3}, leaf(1), leaf(2)),
+            "none",
+            ["node {1,2,3}: label is not the union of its children", leaves],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 3}, leaf(1), leaf(3)), leaf(2)),
+            "connected",
+            ["node {1,3}: label does not induce a connected subgraph"],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 3}, leaf(1), leaf(3)), leaf(2)),
+            "edge",
+            ["node {1,3}: no edge joins {1} and {3}"],
+        ),
+        # an edge node with three children plus a disconnected label
+        (
+            p4,
+            node({1, 2, 3, 4}, node({1, 3}, leaf(1), leaf(3)), leaf(2), leaf(4)),
+            "edge",
+            [
+                "node {1,2,3,4}: edge rule requires exactly two children",
+                "node {1,3}: no edge joins {1} and {3}",
+            ],
+        ),
+        (
+            p4,
+            node({1, 2, 3, 4}, node({1, 3}, leaf(1), leaf(3)), leaf(2), leaf(4)),
+            "connected",
+            ["node {1,3}: label does not induce a connected subgraph"],
+        ),
+        (
+            star(4),
+            node({1, 2, 3, 4}, node({2, 3, 4}, leaf(2), leaf(3), leaf(4)), leaf(1)),
+            "connected",
+            ["node {2,3,4}: label does not induce a connected subgraph"],
+        ),
+        (
+            star(4),
+            node({1, 2, 3, 4}, node({2, 3}, leaf(2), leaf(3)), node({1, 4}, leaf(1), leaf(4))),
+            "edge",
+            ["node {2,3}: no edge joins {2} and {3}"],
+        ),
+        # overlapping children are not tested for a crossing edge
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}, leaf(1), leaf(2)), node({2, 3}, leaf(2), leaf(3))),
+            "edge",
+            ["node {1,2,3}: children labels overlap", leaves],
+        ),
+        (
+            path(2),
+            node({1, 2}, node({1}, time=1), timed_leaf(2), time=1),
+            "none",
+            ["node {1,2}: child {1} is not strictly earlier", "leaf {1}: leaves must sit at time 0"],
+        ),
+        (
+            path(2),
+            node({1, 2}, timed_leaf(1), timed_leaf(2), time=3),
+            "none",
+            ["times: values [1, 2] are unoccupied below the root time 3"],
+        ),
+        (
+            p4,
+            node(
+                {1, 2, 3, 4},
+                node({1, 2}, timed_leaf(1), timed_leaf(2), time=2),
+                node({3, 4}, timed_leaf(3), timed_leaf(4), time=1),
+                time=5,
+            ),
+            "edge",
+            ["times: values [3, 4] are unoccupied below the root time 5"],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 2}, timed_leaf(1), timed_leaf(2), time=1), timed_leaf(3), time=1),
+            "none",
+            ["node {1,2,3}: child {1,2} is not strictly earlier"],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 3}, timed_leaf(1), timed_leaf(3), time=2), node({2}, time=3), time=1),
+            "connected",
+            [
+                "node {1,2,3}: child {1,3} is not strictly earlier",
+                "node {1,2,3}: child {2} is not strictly earlier",
+                "node {1,3}: label does not induce a connected subgraph",
+                "leaf {2}: leaves must sit at time 0",
+            ],
+        ),
+        (path(2), node({1, 2}, leaf(1), timed_leaf(2), time=1), "none", ["node {1}: timed and untimed nodes mix"]),
+        (
+            path(2),
+            node({1, 2}, timed_leaf(1), timed_leaf(2)),
+            "none",
+            ["node {1}: timed and untimed nodes mix", "node {2}: timed and untimed nodes mix"],
+        ),
+        # mixed times plus out of range
+        (
+            p3,
+            node({1, 2, 5}, timed_leaf(1), leaf(2), node({5}, time=2), time=1),
+            "connected",
+            [
+                "root: label {1,2,5} is not the full vertex set",
+                "node {2}: timed and untimed nodes mix",
+                "node {1,2,5}: label outside vertex range 1..3",
+                "node {5}: label outside vertex range 1..3",
+                leaves,
+            ],
+        ),
+        (
+            p3,
+            node({1, 2, 3}, node({1, 3}, timed_leaf(1), leaf(3), time=0), node({2, 9}, time=4), time=1),
+            "edge",
+            [
+                "node {3}: timed and untimed nodes mix",
+                "node {1,2,3}: label is not the union of its children",
+                "node {1,3}: no edge joins {1} and {3}",
+                "node {2,9}: label outside vertex range 1..3",
+                leaves,
+            ],
+        ),
+    ]
+    for g, t, rule, expected in cases:
+        assert validation_errors(g, t, rule) == expected
+
+
 def test_enumerated_timed_trees_validate():
     for _, g in families(4):
         for rule in RULES:
@@ -645,27 +888,72 @@ def test_tree_dict_round_trip_keeps_times():
 
 
 def test_parse_tree_rejects_malformed_input():
+    label_error = 'node needs a "label" list of ints, got '
     bad = [
-        "nope",
-        "[1, 2]",
-        '{"children": []}',
-        '{"label": ["a"], "children": []}',
-        '{"label": [1, 2], "children": 3}',
-        '{"label": [1, 2], "time": "x", "children": []}',
+        ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "tree JSON must be an object"),
+        ('{"children": []}', label_error + "None"),
+        ('{"label": ["a"], "children": []}', label_error + "['a']"),
+        ('{"label": [1, 2], "children": 3}', '"children" must be a list'),
+        ('{"label": [1, 2], "time": "x", "children": []}', "\"time\" must be an int, got 'x'"),
         # timed root with an untimed child
-        '{"label":[1,2],"time":1,"children":[{"label":[1],"children":[]},'
-        '{"label":[2],"time":0,"children":[]}]}',
+        (
+            '{"label":[1,2],"time":1,"children":[{"label":[1],"children":[]},'
+            '{"label":[2],"time":0,"children":[]}]}',
+            "mixed timed and untimed nodes",
+        ),
         # JSON booleans in place of a vertex or a time: P2 read as [1, 2]
-        '{"label":[true,2],"time":true,"children":[{"label":[true],"time":false,'
-        '"children":[]},{"label":[2],"time":0,"children":[]}]}',
-        '{"label":[1,2],"time":1,"children":[{"label":[1],"time":false,'
-        '"children":[]},{"label":[2],"time":0,"children":[]}]}',
-        '{"label":[true,2],"children":[{"label":[1],"children":[]},'
-        '{"label":[2],"children":[]}]}',
+        (
+            '{"label":[true,2],"time":true,"children":[{"label":[true],"time":false,'
+            '"children":[]},{"label":[2],"time":0,"children":[]}]}',
+            label_error + "[True, 2]",
+        ),
+        (
+            '{"label":[1,2],"time":1,"children":[{"label":[1],"time":false,'
+            '"children":[]},{"label":[2],"time":0,"children":[]}]}',
+            '"time" must be an int, got False',
+        ),
+        (
+            '{"label":[true,2],"children":[{"label":[1],"children":[]},'
+            '{"label":[2],"children":[]}]}',
+            label_error + "[True, 2]",
+        ),
+        # nested past what json.loads can recurse through
+        ("[" * 100000 + "]" * 100000, "tree JSON nests too deeply"),
+        ('{"label":[1],"children":[' * 3000 + "]}" * 3000, "tree JSON nests too deeply"),
+        # deeper than any tree on at most 64 vertices
+        ('{"label":[1],"children":[' * 64 + '{"label":[1]}' + "]}" * 64, "tree nests deeper than 63 levels"),
     ]
-    for text in bad:
-        with pytest.raises(ValueError):
+    for text, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_tree(text)
+
+
+def test_parse_tree_takes_the_deepest_trees():
+    """A caterpillar on 64 vertices nests 63 levels deep, the most any
+    assembly tree on at most 64 vertices can."""
+    t = leaf(1)
+    for v in range(2, 65):
+        t = branch([t, leaf(v)])
+    assert parse_tree(serialize_tree(t)) == t
+    assert validate(path(64), t, "edge")
+
+
+def test_json_is_tree_to_dict_dumped_and_walk_is_preorder():
+    def preorder(t):
+        yield t
+        for child in t.children:
+            yield from preorder(child)
+
+    for n in range(1, 6):
+        for _, g in families(n):
+            for rule in RULES:
+                trees = list(enumerate_trees(g, rule))
+                if n <= 4:
+                    trees += enumerate_timed_trees(g, rule)
+                for t in trees:
+                    assert serialize_tree(t) == json.dumps(tree_to_dict(t), separators=(",", ":"))
+                    assert list(t.walk()) == list(preorder(t))
 
 
 # ------------------------------------------------- random graphs, all routes
@@ -687,12 +975,15 @@ def connected_graphs(draw):
 def test_random_graphs_counts_enumeration_and_oracles_agree(case):
     n, edges = case
     g = Graph(n, edges)
-    shapes = list(all_assembly_trees(range(1, n + 1)))
+    shapes = [(t, from_oracle(t)) for t in all_assembly_trees(range(1, n + 1))]
     for rule in RULES:
         trees = list(enumerate_trees(g, rule))
+        accepted = {tree for t, tree in shapes if rule_ok(t, edges, rule)}
         assert len(set(trees)) == len(trees) == count_trees(g, rule)
-        assert set(trees) == {from_oracle(t) for t in shapes if rule_ok(t, edges, rule)}
+        assert set(trees) == accepted
         assert all(validate(g, t, rule) for t in trees)
+        for _, tree in shapes:
+            assert validate(g, tree, rule) == (tree in accepted)
 
         timed = list(enumerate_timed_trees(g, rule))
         assert len(set(timed)) == len(timed) == count_timed_trees(g, rule)
@@ -701,3 +992,45 @@ def test_random_graphs_counts_enumeration_and_oracles_agree(case):
         if n <= 5:
             assert len(timed) == count_timed_by_listing(n, edges, rule)
         assert all(validate(g, t, rule) for t in timed)
+
+
+def test_timed_validation_matches_the_definition():
+    """On every graph of up to 4 vertices, every tree with every
+    map from its internal nodes to 1..k validates exactly when the rule
+    holds and the stamps make a timed tree: leaves at 0, each parent
+    strictly later than its children, and the occupied times gapless."""
+
+    def stamped(t, times):
+        if t[0] == "leaf":
+            return AssemblyTree(frozenset((t[1],)), time=0)
+        time = next(times)  # preorder: the parent before its children
+        kids = tuple(stamped(c, times) for c in t[1:])
+        return AssemblyTree(frozenset().union(*(c.label for c in kids)), kids, time)
+
+    def nodes(t):
+        return [t] + [d for c in t.children for d in nodes(c)]
+
+    def is_timed_tree(t):
+        every = nodes(t)
+        occupied = {d.time for d in every}
+        return (
+            all(d.time == 0 for d in every if not d.children)
+            and all(c.time < d.time for d in every for c in d.children)
+            and occupied == set(range(max(occupied) + 1))
+        )
+
+    for n in range(1, 5):
+        shapes = []
+        for t in all_assembly_trees(range(1, n + 1)):
+            k = sum(1 for s in walk(t) if s[0] == "node")
+            trees = [stamped(t, iter(times)) for times in itertools.product(range(1, k + 1), repeat=k)]
+            shapes.append((t, [(tree, is_timed_tree(tree)) for tree in trees]))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            edges = [e for e, keep in zip(pairs, chosen) if keep]
+            g = Graph(n, edges)
+            for rule in RULES:
+                for t, stampings in shapes:
+                    shape_ok = rule_ok(t, edges, rule)
+                    for tree, timed_ok in stampings:
+                        assert validate(g, tree, rule) == (shape_ok and timed_ok)
