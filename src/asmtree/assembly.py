@@ -5,15 +5,15 @@ An assembly tree for a connected graph on vertices {1..n} is a rooted tree
 whose n leaves carry the singletons, whose internal nodes each have at
 least two children, and where every internal label is the disjoint union
 of its children's labels; the root carries the full vertex set. A gluing
-rule restricts which trees are admissible:
+rule restricts which trees are admissible. Each rule is a graph plus a
+merge bound, the most parts one merge may join: every label must be
+connected in the graph and no node may have more children than the bound.
 
-* NONE       no restriction beyond the shape, so counts depend only on n;
-             it is CONNECTED on the complete graph K_n, whose every vertex
-             set is connected, and is counted and enumerated as such,
-* CONNECTED  every label must induce a connected subgraph,
-* EDGE       every internal node has exactly two children with at least
-             one edge of the graph running between them; these are the
-             binary CONNECTED trees, and are counted and enumerated as such.
+* NONE       K_n, no bound: nothing beyond the shape, since every vertex
+             set of K_n is connected, so counts depend only on n,
+* CONNECTED  g, no bound: every label induces a connected subgraph,
+* EDGE       g, bound 2: every internal node has exactly two children
+             joined by an edge of g; these are the binary CONNECTED trees.
 
 A timed assembly tree additionally stamps every node with a build time:
 leaves sit at time 0, each parent is strictly later than each of its
@@ -144,32 +144,37 @@ def _two_splits(mask: int) -> Iterator[tuple[int, int]]:
         yield first, mask ^ first
 
 
-def _partitions_ge1(mask: int, ok: Callable[[int], bool]) -> Iterator[tuple[int, ...]]:
-    """Set partitions of the masked set into any number of blocks that
+def _partitions_ge1(mask: int, ok: Callable[[int], bool], most: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of the masked set into at most `most` blocks that
     pass ok, each exactly once, blocks listed by ascending minimum vertex.
     The single block comes last. A block that fails ok is never extended
-    into partitions."""
+    into partitions. With most = 2 these are the two-splits in
+    _two_splits order, then the single block."""
     if mask == 0:
         yield ()
         return
     low = mask & -mask
     rest = mask ^ low
-    for sub in _submasks(rest):
+    # When one block is left it is the whole remainder.
+    for sub in _submasks(rest) if most > 1 else (rest,):
         first = low | sub
         if ok(first):
-            for others in _partitions_ge1(mask ^ first, ok):
+            for others in _partitions_ge1(mask ^ first, ok, most - 1):
                 yield (first, *others)
 
 
 def _prepare(
     g: Graph, rule: GluingRule | str, limit: int | None, default: int
-) -> tuple[Graph, GluingRule]:
-    """The graph and rule a counter or enumerator runs on, once g has
-    passed the vertex cap and the connectivity check.
+) -> tuple[Graph, int]:
+    """The graph and merge bound `most` a counter or enumerator runs on,
+    once g has passed the vertex cap and the connectivity check.
 
-    NONE comes back as CONNECTED on K_n: every vertex set of a complete
-    graph is connected, and trees carry labels, not edges, so the trees
-    and their order are the same. The checks run on g itself first, so a
+    The counters and enumerators run on this pair alone and never test
+    the rule. EDGE is g with most = 2, since its trees are the binary
+    CONNECTED trees (see _count_edge); CONNECTED is g with most = n, no
+    bound. NONE is K_n with most = n: every vertex set of K_n is
+    connected, and trees carry labels, not edges, so the trees and their
+    order are the same. The checks run on g itself first, so a
     disconnected g is still rejected.
     """
     rule = GluingRule(rule)
@@ -181,8 +186,8 @@ def _prepare(
     if not connected_mask(g, g.full_mask()):
         raise ValueError("graph must be connected")
     if rule is GluingRule.NONE:
-        return complete(g.n), GluingRule.CONNECTED
-    return g, rule
+        return complete(g.n), g.n
+    return g, 2 if rule is GluingRule.EDGE else g.n
 
 
 def enumerate_trees(
@@ -204,18 +209,18 @@ def enumerate_trees(
     by the number of trees; the order does not depend on what is kept. The
     first tree of K8 thus comes without building its 660,032 trees.
     """
-    g, rule = _prepare(g, rule, limit, ENUMERATION_LIMIT)
-    yield from _build_trees(g, rule, g.full_mask(), {})
+    g, most = _prepare(g, rule, limit, ENUMERATION_LIMIT)
+    yield from _build_trees(g, most, g.full_mask(), {})
 
 
-def _trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterable[AssemblyTree]:
+def _trees(g: Graph, most: int, mask: int, kept: dict) -> Iterable[AssemblyTree]:
     """The trees on the masked set. Up to _KEEP of them are built at once
     and kept, as a tuple, for the rest of the enumeration; a larger pool
     is marked None in `kept` and streamed again each time it is needed."""
     pool = kept.get(mask)
     if pool is not None:
         return pool
-    stream = _build_trees(g, rule, mask, kept)
+    stream = _build_trees(g, most, mask, kept)
     if mask in kept:
         return stream
     pool = tuple(islice(stream, _KEEP + 1))
@@ -226,7 +231,7 @@ def _trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterable[Assemb
     return pool
 
 
-def _product(g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict) -> Iterator[tuple]:
+def _product(g: Graph, most: int, blocks: tuple[int, ...], kept: dict) -> Iterator[tuple]:
     """One tree on each block, in the order of itertools.product: the
     leftmost block varies slowest. A pool that is not kept is streamed
     again for each choice of trees on the blocks before it."""
@@ -234,32 +239,26 @@ def _product(g: Graph, rule: GluingRule, blocks: tuple[int, ...], kept: dict) ->
     if None not in pools:
         yield from product(*pools)
         return
-    for head in _product(g, rule, blocks[:-1], kept):
-        for t in _trees(g, rule, blocks[-1], kept):
+    for head in _product(g, most, blocks[:-1], kept):
+        for t in _trees(g, most, blocks[-1], kept):
             yield (*head, t)
 
 
-def _build_trees(g: Graph, rule: GluingRule, mask: int, kept: dict) -> Iterator[AssemblyTree]:
+def _build_trees(g: Graph, most: int, mask: int, kept: dict) -> Iterator[AssemblyTree]:
+    """The trees on the masked set, which must be connected in g: the full
+    set has passed _prepare's check and every block has passed ok."""
     if mask & (mask - 1) == 0:
         yield leaf(mask.bit_length())
-        return
-    if not connected_mask(g, mask):
         return
     label = mask_vertices(mask)
 
     def ok(block: int) -> bool:
         return block & (block - 1) == 0 or connected_mask(g, block)
 
-    # EDGE trees are the binary CONNECTED trees (see _count_edge), and
-    # _two_splits lists the two-block partitions in _partitions_ge1's order.
-    if rule is GluingRule.EDGE:
-        branchings = (split for split in _two_splits(mask) if ok(split[0]) and ok(split[1]))
-    else:
-        branchings = _partitions_ge1(mask, ok)
-    for blocks in branchings:
+    for blocks in _partitions_ge1(mask, ok, most):
         if len(blocks) == 1:
             return  # the single block, listed last, is not a branching
-        for combo in _product(g, rule, blocks, kept):
+        for combo in _product(g, most, blocks, kept):
             yield AssemblyTree(label, combo)
 
 
@@ -268,11 +267,12 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
 
     Memoized recursion keyed by the vertex subset alone: a connected
     subset's count sums, over its partitions into connected blocks (only
-    the two-splits for EDGE), the product of the block counts. Agrees with
-    len(list(enumerate_trees(...))) wherever enumeration is feasible and
-    goes considerably further (default cap COUNTING_LIMIT).
+    the two-splits when the merge bound is 2), the product of the block
+    counts. Agrees with len(list(enumerate_trees(...))) wherever
+    enumeration is feasible and goes considerably further (default cap
+    COUNTING_LIMIT).
     """
-    g, rule = _prepare(g, rule, limit, COUNTING_LIMIT)
+    g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     if g.n == 1:
         return 1
     conn: dict[int, bool] = {}
@@ -283,7 +283,8 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
             hit = conn[m] = connected_mask(g, m)
         return hit
 
-    if rule is GluingRule.EDGE:
+    # Exact whenever most == 2, whatever the rule: at n = 2 every tree is binary.
+    if most == 2:
         return _count_edge(g.full_mask(), label_ok, {})
     return _forests(g.full_mask(), label_ok, {}) >> 1
 
@@ -395,30 +396,30 @@ def count_level_assignments(t: AssemblyTree) -> int:
     return fill(0)
 
 
-def _level_assignments(t: AssemblyTree) -> Iterator[dict[frozenset[int], int]]:
-    """Yield every valid time map for the internal nodes of t."""
+def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
+    """Yield t under each of its valid time stampings, in the round order
+    of count_level_assignments. Each round builds its picked nodes over
+    their children's stamped forms, which earlier rounds have placed in
+    `stamped`; a node is overwritten only by a later branch that places it
+    again."""
     order, child_masks = _internal_index(t)
     full = (1 << len(child_masks)) - 1
+    stamped = {
+        node.label: AssemblyTree(node.label, time=0) for node in t.walk() if not node.children
+    }
 
-    def build(placed: int, next_time: int, times: dict) -> Iterator[dict]:
+    def build(placed: int, next_time: int) -> Iterator[AssemblyTree]:
         if placed == full:
-            yield dict(times)
+            yield stamped[t.label]
             return
         for pick in _rounds(child_masks, placed):
             for i in iter_bits(pick):
-                times[order[i - 1].label] = next_time
-            yield from build(placed | pick, next_time + 1, times)
-            for i in iter_bits(pick):
-                del times[order[i - 1].label]
+                node = order[i - 1]
+                kids = tuple([stamped[c.label] for c in node.children])
+                stamped[node.label] = AssemblyTree(node.label, kids, next_time)
+            yield from build(placed | pick, next_time + 1)
 
-    yield from build(0, 1, {})
-
-
-def _stamp(node: AssemblyTree, times: dict[frozenset[int], int]) -> AssemblyTree:
-    if not node.children:
-        return AssemblyTree(node.label, time=0)
-    kids = tuple(_stamp(c, times) for c in node.children)
-    return AssemblyTree(node.label, kids, times[node.label])
+    yield from build(0, 1)
 
 
 def enumerate_timed_trees(
@@ -428,8 +429,7 @@ def enumerate_timed_trees(
     with each of its valid time stampings. Deterministic order; same cap
     as enumerate_trees."""
     for t in enumerate_trees(g, rule, limit=limit):
-        for times in _level_assignments(t):
-            yield _stamp(t, times)
+        yield from _stampings(t)
 
 
 def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -> int:
@@ -437,11 +437,11 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
 
     A timed tree is uniquely determined by its chain of frontier
     partitions: singletons at time 0, then a strictly coarser partition at
-    every time step, where each group of blocks merged in one step must be
-    admissible for the rule (union connected for CONNECTED, exactly two
-    blocks joined by an edge for EDGE; NONE is counted as CONNECTED on
-    K_n). It must, and in the tests does, agree with summing
-    count_level_assignments over enumerate_trees.
+    every time step, where each group of blocks merged in one step must
+    have a connected union in the graph _prepare returns and at most its
+    merge bound of blocks (two for EDGE, which with connected blocks is
+    two blocks joined by an edge). It must, and in the tests does, agree
+    with summing count_level_assignments over enumerate_trees.
 
     Every block of such a chain is connected, so whether a group may
     merge can be read off the quotient graph G/pi: one vertex per block,
@@ -451,33 +451,35 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     one-vertex quotient, which counts 1. A state numbers the blocks by
     lowest vertex and lists, for each block, the mask of its
     lower-numbered neighbours. The merges out of a state are generated
-    already admissible (see _step_total). On a complete quotient every
-    grouping is admissible, Bell(k) of them for k blocks, so dense graphs
-    and NONE get slow well before the cap (default COUNTING_LIMIT).
+    already admissible (see _step_total). On a complete quotient with no
+    bound every grouping is admissible, Bell(k) of them for k blocks, so
+    dense graphs and NONE get slow well before the cap (default
+    COUNTING_LIMIT).
     """
-    g, rule = _prepare(g, rule, limit, COUNTING_LIMIT)
+    g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     start = tuple(m & ((1 << i) - 1) for i, m in enumerate(g._adj[1:]))
     memo: dict[tuple[int, ...], int] = {(0,): 1}
 
     def finish(lower: tuple[int, ...]) -> int:
         cached = memo.get(lower)
         if cached is None:
-            cached = memo[lower] = _step_total(lower, rule, finish)
+            cached = memo[lower] = _step_total(lower, most, finish)
         return cached
 
     return finish(start)
 
 
-def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
+def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
     """Sum of finish(q) over the quotients q one time step away from the
     quotient whose lower-neighbour masks are `lower`.
 
     A step partitions the quotient's vertices into admissible groups, bar
     the partition into singletons. Groups are placed in order of their
-    lowest vertex, `head`: it stays alone or merges with one neighbour
-    (EDGE) or a connected set grown from it (CONNECTED). Each group's row
-    of the next quotient is built as it is placed, from its reach (the
-    union of its members' neighbourhoods) and the groups placed before it.
+    lowest vertex, `head`: it stays alone or merges with a connected set
+    of at most most - 1 unplaced vertices grown from it (see _groups).
+    Each group's row of the next quotient is built as it is placed, from
+    its reach (the union of its members' neighbourhoods) and the groups
+    placed before it.
     """
     k = len(lower)
     adj = list(lower)
@@ -487,25 +489,13 @@ def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
     groups: list[int] = []
     rows: list[int] = []
 
-    def options(head: int, rest: int) -> Iterator[tuple[int, int]]:
-        """The groups that `head` can lead, each with its reach."""
-        reach = adj[head.bit_length() - 1]
-        yield head, reach
-        if rule is GluingRule.EDGE:
-            others = reach & rest
-            while others:
-                other = others & -others
-                yield head | other, reach | adj[other.bit_length() - 1]
-                others ^= other
-        else:
-            yield from _connected_growths(adj, head, reach, rest)
-
     def arrange(remaining: int, placed: int) -> int:
         if not remaining:
             return finish(tuple(rows)) if len(rows) < k else 0
         total = 0
         head = remaining & -remaining
-        for group, reach in options(head, remaining ^ head):
+        reach = adj[head.bit_length() - 1]
+        for group, reach in _groups(adj, head, reach, remaining ^ head, most - 1):
             reach &= placed
             row = 0
             if reach:
@@ -522,23 +512,23 @@ def _step_total(lower: tuple[int, ...], rule: GluingRule, finish) -> int:
     return arrange((1 << k) - 1, 0)
 
 
-def _connected_growths(
-    adj: list[int], grown: int, reach: int, allowed: int
+def _groups(
+    adj: list[int], grown: int, reach: int, allowed: int, room: int
 ) -> Iterator[tuple[int, int]]:
-    """Each connected set that strictly contains the connected set `grown`
-    and lies within grown | allowed, once, with its reach. `reach` is the
-    union of the neighbourhoods of grown's vertices. The lowest vertex on
-    the frontier is either taken, or left out of this set and every later
-    one."""
+    """The connected set `grown`, then each connected set that strictly
+    contains it, lies within grown | allowed and has at most `room` more
+    vertices, once each, with its reach. `reach` is the union of the
+    neighbourhoods of grown's vertices. The lowest vertex on the frontier
+    is either taken, or left out of this set and every later one."""
+    yield grown, reach
+    if not room:
+        return
     frontier = reach & allowed
     while frontier:
         v = frontier & -frontier
         frontier ^= v
         allowed ^= v
-        bigger = grown | v
-        wider = reach | adj[v.bit_length() - 1]
-        yield bigger, wider
-        yield from _connected_growths(adj, bigger, wider, allowed)
+        yield from _groups(adj, grown | v, reach | adj[v.bit_length() - 1], allowed, room - 1)
 
 
 def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
@@ -650,8 +640,6 @@ def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list
         if occupied != set(range(t.time + 1)):
             missing = sorted(set(range(t.time + 1)) - occupied)
             errors.append(f"times: values {missing} are unoccupied below the root time {t.time}")
-        if any(node.time >= t.time for node in nodes[1:]):
-            errors.append("times: the root must sit strictly above every other node")
 
     return errors
 

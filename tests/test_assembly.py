@@ -203,6 +203,25 @@ def test_streams_through_pools_too_large_to_keep_are_pinned():
         assert len(set(trees)) == len(trees) == count_trees(g, rule)
 
 
+P7_EDGE_TIMED = (1652, "e2a09c4c08512867c7a339c5e5f82b12e09c3d345a5310e48263ec9ab4d265c9")
+C6_CONNECTED_TIMED = (1437, "9bde45a1e774e3f19523b2c43778eb6ce3180d03b1c0c683fe3cdc169b4da4b7")
+K5_EDGE_TIMED = (255, "0b51e6ffb82ed46892cd55adde301c4a9519255d3733a90ccb4a619226f9a2d4")
+P8_CONNECTED_TIMED_FIRST_20000 = (
+    20000,
+    "d3b1f08295ce340a8278adce8ae0130c7d13a2f26c91c15d2a84addbd7f0defe",
+)
+
+
+def test_timed_streams_are_pinned():
+    # Taken while the stampings were still built as time maps and the
+    # EDGE and CONNECTED rules ran separate enumerators.
+    assert stream_digest(enumerate_timed_trees(path(7), "edge")) == P7_EDGE_TIMED
+    assert stream_digest(enumerate_timed_trees(cycle(6), "connected")) == C6_CONNECTED_TIMED
+    assert stream_digest(enumerate_timed_trees(complete(5), "edge")) == K5_EDGE_TIMED
+    p8 = itertools.islice(enumerate_timed_trees(path(8), "connected"), 20000)
+    assert stream_digest(p8) == P8_CONNECTED_TIMED_FIRST_20000
+
+
 def test_streams_are_unchanged_when_little_is_kept(monkeypatch):
     # With a tiny keep bound nearly every pool is built again for each
     # choice of trees on the blocks before it.
@@ -359,9 +378,7 @@ def node(label, *children, time=None):
 
 def test_validation_error_lists_are_pinned():
     """Every reason validation_errors can give, in order, on hand-made
-    trees, several with more than one fault. "times: the root must sit
-    strictly above every other node" cannot appear: that check runs only
-    once every child is strictly earlier than its parent."""
+    trees, several with more than one fault."""
     p3, p4 = path(3), path(4)
     leaves = "leaves: must be exactly the n singletons, each once"
     cases = [
@@ -790,7 +807,8 @@ def test_rules_nest():
 def test_edge_trees_are_the_binary_connected_trees():
     # Every label of an EDGE tree is connected, and a connected set split
     # into two connected sides has an edge across: the EDGE stream is the
-    # CONNECTED stream cut down to binary trees, in the same order.
+    # CONNECTED stream cut down to binary trees, in the same order, and so
+    # are the timed streams and counts.
     graphs = [g for n in range(3, 8) for _, g in families(n)]
     rng = random.Random(8)
     for n in (4, 5, 6, 7, 7):
@@ -801,12 +819,16 @@ def test_edge_trees_are_the_binary_connected_trees():
     perm = list(range(1, 8))
     rng.shuffle(perm)
     graphs.append(Graph(7, [(perm[u - 1], perm[v - 1]) for u, v in graphs[-1].edges]))
+
+    def binary(trees):
+        return [t for t in trees if all(len(node.children) in (0, 2) for node in t.walk())]
+
     for g in graphs:
-        binary = [
-            t for t in enumerate_trees(g, "connected")
-            if all(len(node.children) in (0, 2) for node in t.walk())
-        ]
-        assert list(enumerate_trees(g, "edge")) == binary
+        assert list(enumerate_trees(g, "edge")) == binary(enumerate_trees(g, "connected"))
+        if g.n <= 6:
+            timed = binary(enumerate_timed_trees(g, "connected"))
+            assert list(enumerate_timed_trees(g, "edge")) == timed
+            assert count_timed_trees(g, "edge") == len(timed)
 
 
 def test_plain_edge_counts_at_the_counting_cap():
