@@ -132,24 +132,12 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def _two_splits(mask: int) -> Iterator[tuple[int, int]]:
-    """Unordered proper 2-splits of the masked set, each exactly once; the
-    side containing the lowest vertex comes first."""
-    low = mask & -mask
-    rest = mask ^ low
-    for sub in _submasks(rest):
-        if sub == rest:
-            return
-        first = low | sub
-        yield first, mask ^ first
-
-
 def _partitions_ge1(mask: int, ok: Callable[[int], bool], most: int) -> Iterator[tuple[int, ...]]:
     """Set partitions of the masked set into at most `most` blocks that
     pass ok, each exactly once, blocks listed by ascending minimum vertex.
     The single block comes last. A block that fails ok is never extended
-    into partitions. With most = 2 these are the two-splits in
-    _two_splits order, then the single block."""
+    into partitions. With most = 2 these are the two-splits, by ascending
+    submask of the side holding the lowest vertex, then the single block."""
     if mask == 0:
         yield ()
         return
@@ -267,14 +255,12 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
 
     Memoized recursion keyed by the vertex subset alone: a connected
     subset's count sums, over its partitions into connected blocks (only
-    the two-splits when the merge bound is 2), the product of the block
-    counts. Agrees with len(list(enumerate_trees(...))) wherever
-    enumeration is feasible and goes considerably further (default cap
-    COUNTING_LIMIT).
+    the two-splits when the merge bound is at most 2), the product of the
+    block counts, and a single vertex has one tree. Agrees with
+    len(list(enumerate_trees(...))) wherever enumeration is feasible and
+    goes considerably further (default cap COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
-    if g.n == 1:
-        return 1
     conn: dict[int, bool] = {}
 
     def label_ok(m: int) -> bool:
@@ -283,8 +269,8 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
             hit = conn[m] = connected_mask(g, m)
         return hit
 
-    # Exact whenever most == 2, whatever the rule: at n = 2 every tree is binary.
-    if most == 2:
+    # Exact whenever most <= 2, whatever the rule: at n <= 2 every tree is binary.
+    if most <= 2:
         return _count_edge(g.full_mask(), label_ok, {})
     return _forests(g.full_mask(), label_ok, {}) >> 1
 
@@ -334,9 +320,17 @@ def _count_edge(mask: int, label_ok, memo: dict[int, int]) -> int:
         return cached
     total = 0
     if label_ok(mask):
-        for a_mask, b_mask in _two_splits(mask):
-            if label_ok(a_mask) and label_ok(b_mask):
-                total += _count_edge(a_mask, label_ok, memo) * _count_edge(b_mask, label_ok, memo)
+        low = mask & -mask
+        rest = mask ^ low
+        sub = 0
+        # The side holding the lowest vertex, stepping through the proper
+        # submasks of rest as in _submasks.
+        while sub != rest:
+            first = low | sub
+            second = mask ^ first
+            if label_ok(first) and label_ok(second):
+                total += _count_edge(first, label_ok, memo) * _count_edge(second, label_ok, memo)
+            sub = (sub - rest) & rest
     memo[mask] = total
     return total
 

@@ -56,6 +56,11 @@ FAMILIES = SEQUENCE_FAMILIES + ("caterpillar", "custom")
 RULES = tuple(r.value for r in assembly.GluingRule)
 SERIES_SELECTORS = (*_SERIES, "td-path-funceq")
 CACHE_FILE = "counts.txt"
+# The largest n a closed form is evaluated at. The forms memoise every
+# smaller value, and those on Stirling numbers keep whole rows, so memory
+# grows as n**3: at n = 1000 each form takes at most about 20 s and
+# 220 MiB, at n = 2500 the star form takes 3.3 GiB.
+FORMULA_LIMIT = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +144,11 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Timed K_n counts pass 4300 digits, the default cap on int <-> str
+    # conversion from Python 3.11 on, from n = 882 (below FORMULA_LIMIT);
+    # every count is printed in full.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     handler = {
         "count": _cmd_count,
         "table": _cmd_table,
@@ -268,14 +278,33 @@ def _store_cache(entries: dict[str, str]) -> None:
         raise
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _closed_form(args: argparse.Namespace, hint: str = "") -> formulas.SequenceFormula:
+    """The closed form for the request's family, rule and timing."""
     entry = formulas.formula_for(args.family, args.rule, args.timed)
-    method = args.method or ("formula" if entry else "enumerate")
-    if method in ("formula", "both") and entry is None:
+    if entry is None:
         raise ValueError(
             f"no closed form is known for family={args.family} rule={args.rule} "
-            f"timed={str(args.timed).lower()}; use --method enumerate"
+            f"timed={str(args.timed).lower()}{hint}"
         )
+    return entry
+
+
+def _check_formula_n(n: int) -> None:
+    if n > FORMULA_LIMIT:
+        raise ValueError(f"closed forms are evaluated up to n = {FORMULA_LIMIT}, got {n}")
+
+
+def _formula_value(entry: formulas.SequenceFormula, n: int) -> int:
+    """The closed form at n, refused above FORMULA_LIMIT. Below its domain
+    the form itself raises ValueError."""
+    _check_formula_n(n)
+    return entry.fn(n)
+
+
+def _cmd_count(args: argparse.Namespace) -> int:
+    has_form = formulas.formula_for(args.family, args.rule, args.timed) is not None
+    method = args.method or ("formula" if has_form else "enumerate")
+    entry = None if method == "enumerate" else _closed_form(args, "; use --method enumerate")
 
     # A custom graph is read once; its canonical form is part of the key.
     g = _build_graph(args) if args.family == "custom" else None
@@ -290,11 +319,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method in ("formula", "both"):
         if args.n is None:
             raise ValueError(f"--n is required for family {args.family}")
-        if args.n < entry.min_n:
-            raise ValueError(
-                f"the {args.family} formula needs n >= {entry.min_n}, got {args.n}"
-            )
-        formula_value = entry.fn(args.n)
+        formula_value = _formula_value(entry, args.n)
     if method in ("enumerate", "both"):
         if g is None:
             g = _build_graph(args)
@@ -325,7 +350,7 @@ def _table_rows(args: argparse.Namespace) -> list[dict]:
     for n in range(args.n_min, args.n_max + 1):
         formula_value = None
         if entry is not None and n >= entry.min_n:
-            formula_value = entry.fn(n)
+            formula_value = _formula_value(entry, n)
         oracle_value = None
         if min_n <= n <= assembly.ENUMERATION_LIMIT:
             oracle_value = _oracle_count(build(n), args.rule, args.timed)
@@ -343,6 +368,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.n_min < 1:
         raise ValueError("--n-min must be at least 1")
+    if formulas.formula_for(args.family, args.rule, args.timed) is not None:
+        _check_formula_n(args.n_max)
     rows = _table_rows(args)
 
     def cell(value: object) -> str:
@@ -470,30 +497,24 @@ def _resolve_bfile(arg: str) -> str:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    entry = formulas.formula_for(args.family, args.rule, args.timed)
-    if entry is None:
-        raise ValueError(
-            f"no closed form is known for family={args.family} rule={args.rule} "
-            f"timed={str(args.timed).lower()}"
-        )
-    terms = _read_bfile(_resolve_bfile(args.bfile))
-    compared = 0
-    for index, expected in sorted(terms):
-        n = index + args.offset
-        if n < entry.min_n:
-            continue
-        if args.n_max is not None and n > args.n_max:
-            continue
-        got = entry.fn(n)
+    entry = _closed_form(args)
+    terms = [
+        (index, expected)
+        for index, expected in sorted(_read_bfile(_resolve_bfile(args.bfile)))
+        if entry.min_n <= index + args.offset
+        and (args.n_max is None or index + args.offset <= args.n_max)
+    ]
+    if not terms:
+        raise ValueError("no overlapping terms between the b-file and the formula domain")
+    _check_formula_n(terms[-1][0] + args.offset)
+    for index, expected in terms:
+        got = _formula_value(entry, index + args.offset)
         ok = got == expected
         print(f"{index}\t{expected}\t{got}\t{'ok' if ok else 'MISMATCH'}")
-        compared += 1
         if not ok:
             print(f"FAIL at index {index}")
             return 1
-    if compared == 0:
-        raise ValueError("no overlapping terms between the b-file and the formula domain")
-    print(f"PASS ({compared} terms)")
+    print(f"PASS ({len(terms)} terms)")
     return 0
 
 

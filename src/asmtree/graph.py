@@ -4,7 +4,9 @@ paths, cycles, complete graphs and caterpillars.
 Vertices are numbered 1..n. Vertex subsets cross the API boundary as
 ordinary Python sets; internally they travel as bit masks (bit i-1 stands
 for vertex i), which is what keeps the subset dynamic programming in
-`assembly` cheap. Graphs never change after construction.
+`assembly` cheap, and the connectivity tests `connected_mask` and
+`crossing_mask` take masks (`vertex_mask` packs a set). Graphs never
+change after construction.
 """
 
 from __future__ import annotations
@@ -116,29 +118,6 @@ def crossing_mask(g: Graph, a_mask: int, b_mask: int) -> bool:
         if g._adj[v] & b_mask:
             return True
     return False
-
-
-def is_connected_induced(g: Graph, vertices: Iterable[int]) -> bool:
-    """Does the given nonempty vertex set induce a connected subgraph?"""
-    s = frozenset(vertices)
-    if not s:
-        raise ValueError("empty vertex set")
-    for v in s:
-        g._check_vertex(v)
-    return connected_mask(g, vertex_mask(s))
-
-
-def has_crossing_edge(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """Does any edge of g join the two disjoint nonempty vertex sets?"""
-    sa, sb = frozenset(a), frozenset(b)
-    if not sa or not sb:
-        raise ValueError("both vertex sets must be nonempty")
-    overlap = sa & sb
-    if overlap:
-        raise ValueError(f"vertex sets overlap: {sorted(overlap)}")
-    for v in sa | sb:
-        g._check_vertex(v)
-    return crossing_mask(g, vertex_mask(sa), vertex_mask(sb))
 
 
 def star(total: int) -> Graph:

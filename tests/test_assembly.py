@@ -32,6 +32,7 @@ from asmtree.assembly import (
     validation_errors,
 )
 from asmtree.combinat import binomial, stirling2
+from asmtree.formulas import connected_complete
 from asmtree.graph import Graph, complete, cycle, path, star
 
 from oracles import (
@@ -711,6 +712,24 @@ def test_timed_counts_on_random_graphs_keep_their_relations():
         assert timed["edge"] <= timed["connected"] <= timed["none"]
         for rule in RULES:
             assert count_trees(g, rule) <= timed[rule]
+
+
+def test_plain_counts_on_random_graphs_keep_their_relations():
+    # Past the enumeration cap, on sparse and dense graphs: a relabelled
+    # copy counts the same, a looser rule never counts fewer, and rule none
+    # counts the trees of K_n.
+    rng = random.Random(11)
+    for n, extra in ((10, 2), (10, 25), (11, 3), (11, 30), (12, 4), (12, 40)):
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        while len(edges) < n - 1 + extra:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        g = Graph(n, edges)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        h = Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+        plain = {rule: count_trees(g, rule) for rule in RULES}
+        assert plain == {rule: count_trees(h, rule) for rule in RULES}
+        assert plain["edge"] <= plain["connected"] <= plain["none"] == connected_complete(n)
 
 
 # ---------------------------------------------------- frontiers of timed trees

@@ -138,6 +138,61 @@ def test_count_formulas_at_large_n(capsys, family, rule, timed):
     assert out.strip().isdigit()
 
 
+def test_closed_forms_stop_at_the_formula_limit(capsys, monkeypatch, tmp_path):
+    evaluated = []
+    real = formulas.formula_for
+
+    def watched(family, rule, timed):
+        entry = real(family, rule, timed)
+        if entry is None:
+            return None
+
+        def fn(n):
+            evaluated.append(n)
+            return entry.fn(n)
+
+        return SequenceFormula(fn, entry.min_n)
+
+    monkeypatch.setattr(cli.formulas, "formula_for", watched)
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 1\n1001 1\n")
+    for argv in (
+        ["count", "--family", "star", "--rule", "connected", "--n", "1001"],
+        ["count", "--family", "complete", "--rule", "connected", "--timed",
+         "--n", "1001", "--method", "both"],
+        ["table", "--family", "path", "--rule", "connected",
+         "--n-min", "1", "--n-max", "1001"],
+        ["oeis", "--bfile", str(bfile), "--family", "star", "--rule", "connected"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--no-banner", "--no-cache")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert evaluated == []  # refused before any closed form ran
+
+
+def test_counts_print_in_full_past_the_int_string_cap(capsys, monkeypatch, tmp_path):
+    # timed K_n passes 4300 digits from n = 882, below FORMULA_LIMIT
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    huge = "1" + "0" * 4999 + "1"  # 10**5000 + 1, written without str(int)
+    monkeypatch.setattr(
+        cli.formulas, "formula_for", lambda *_: SequenceFormula(lambda n: 10**5000 + 1, 1)
+    )
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"3 {huge}\n")
+    for argv, last in (
+        (["count", "--family", "complete", "--rule", "connected", "--n", "3"], huge),
+        (["count", "--family", "complete", "--rule", "connected", "--n", "3"], huge),
+        (["table", "--family", "complete", "--rule", "connected",
+          "--n-min", "3", "--n-max", "3"], f"3,{huge},4,false"),
+        (["oeis", "--bfile", str(bfile), "--family", "complete",
+          "--rule", "connected"], "PASS (1 terms)"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--no-banner")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == last
+
+
 def test_count_rejects_unanswerable_requests(capsys):
     bad = [
         # no closed form for plain edge counts

@@ -259,6 +259,8 @@ def test_formula_registry_contents():
         assert entry is not None
         assert entry.fn is fn
         assert entry.min_n == min_n
+        with pytest.raises(ValueError):  # the CLI relies on this
+            fn(min_n - 1)
 
 
 def test_formula_registry_gaps():
