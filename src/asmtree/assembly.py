@@ -36,9 +36,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, islice, product
 from typing import Callable, Iterable, Iterator
 
+from .combinat import binomial
 from .graph import (
     MAX_VERTICES,
     Graph,
@@ -444,14 +446,24 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     memoized recursion over quotients, from G itself down to the
     one-vertex quotient, which counts 1. A state numbers the blocks by
     lowest vertex and lists, for each block, the mask of its
-    lower-numbered neighbours. The merges out of a state are generated
-    already admissible (see _step_total). On a complete quotient with no
-    bound every grouping is admissible, Bell(k) of them for k blocks, so
-    dense graphs and NONE get slow well before the cap (default
-    COUNTING_LIMIT).
+    lower-numbered neighbours. The memo is keyed on that labelled
+    quotient, so G is first renumbered in depth-first preorder (see
+    _depth_first): a count does not depend on vertex labels, and the
+    order makes isomorphic quotients of relabelled graphs meet in the
+    memo. The merges out of a state are generated already admissible
+    (see _step_total), except that a complete quotient steps at once to
+    the complete quotients below it (see _complete_step). Default cap
+    COUNTING_LIMIT.
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
-    start = tuple(m & ((1 << i) - 1) for i, m in enumerate(g._adj[1:]))
+    order = _depth_first(g)
+    place = [0] * (g.n + 1)
+    for i, v in enumerate(order):
+        place[v] = 1 << i
+    start = tuple(
+        sum(place[u] for u in iter_bits(g._adj[v])) & ((1 << i) - 1)
+        for i, v in enumerate(order)
+    )
     memo: dict[tuple[int, ...], int] = {(0,): 1}
 
     def finish(lower: tuple[int, ...]) -> int:
@@ -461,6 +473,31 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
         return cached
 
     return finish(start)
+
+
+def _depth_first(g: Graph) -> list[int]:
+    """g's vertices in depth-first preorder: from the lowest-numbered
+    vertex of largest degree, each vertex visits its unvisited neighbours
+    largest degree first, lowest number on ties. g must be connected.
+
+    The timed memo is keyed on numbered quotients, so a numbering that
+    follows the edges lets the quotients of relabelled copies of a graph
+    meet: any such order walks a cycle along itself.
+    """
+    rank = {v: (-g._adj[v].bit_count(), v) for v in range(1, g.n + 1)}
+    order: list[int] = []
+    seen = 0
+
+    def visit(v: int) -> None:
+        nonlocal seen
+        seen |= 1 << (v - 1)
+        order.append(v)
+        for u in sorted(iter_bits(g._adj[v]), key=rank.__getitem__):
+            if not seen >> (u - 1) & 1:
+                visit(u)
+
+    visit(min(rank, key=rank.__getitem__))
+    return order
 
 
 def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
@@ -473,9 +510,11 @@ def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
     of at most most - 1 unplaced vertices grown from it (see _groups).
     Each group's row of the next quotient is built as it is placed, from
     its reach (the union of its members' neighbourhoods) and the groups
-    placed before it.
+    placed before it. A complete quotient goes to _complete_step.
     """
     k = len(lower)
+    if all(m == (1 << b) - 1 for b, m in enumerate(lower)):
+        return _complete_step(k, most, finish)
     adj = list(lower)
     for b, m in enumerate(lower):
         for a in iter_bits(m):
@@ -504,6 +543,33 @@ def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
         return total
 
     return arrange((1 << k) - 1, 0)
+
+
+def _complete_step(k: int, most: int, finish) -> int:
+    """_step_total on the complete quotient K_k. Every grouping of K_k is
+    admissible and leaves a complete quotient, K_j for j groups, so the
+    step is the sum over j < k of W(k, j) finish(K_j), with W from
+    _groupings instead of one grouping at a time."""
+    return sum(
+        w * finish(tuple((1 << b) - 1 for b in range(j)))
+        for j, w in enumerate(_groupings(k, most)[:k])
+        if w
+    )
+
+
+@lru_cache(maxsize=None)
+def _groupings(r: int, most: int) -> tuple[int, ...]:
+    """W(r, j) for j = 0..r: the partitions of r labelled blocks into j
+    groups of at most `most` blocks each. The group holding the first
+    block has s blocks, chosen C(r - 1, s - 1) ways; W(0, 0) = 1."""
+    row = [0] * (r + 1)
+    if r == 0:
+        row[0] = 1
+    for s in range(1, min(most, r) + 1):
+        ways = binomial(r - 1, s - 1)
+        for j, w in enumerate(_groupings(r - s, most)):
+            row[j + 1] += ways * w
+    return tuple(row)
 
 
 def _groups(

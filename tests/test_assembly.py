@@ -32,7 +32,7 @@ from asmtree.assembly import (
     validation_errors,
 )
 from asmtree.combinat import binomial, stirling2
-from asmtree.formulas import connected_complete
+from asmtree.formulas import connected_complete, td_connected_complete, td_edge_complete
 from asmtree.graph import Graph, complete, cycle, path, star
 
 from oracles import (
@@ -712,6 +712,57 @@ def test_timed_counts_on_random_graphs_keep_their_relations():
         assert timed["edge"] <= timed["connected"] <= timed["none"]
         for rule in RULES:
             assert count_trees(g, rule) <= timed[rule]
+
+
+def test_timed_counts_at_the_counting_cap():
+    # Every quotient of K_n, and every quotient under none, is complete
+    # and steps by one weighted sum over the complete quotients below it.
+    assert count_timed_trees(complete(16), "connected") == td_connected_complete(16)
+    assert count_timed_trees(complete(16), "edge") == td_edge_complete(16)
+    assert count_timed_trees(path(16), "none") == td_connected_complete(16)
+
+
+def test_timed_counts_do_not_depend_on_the_numbering():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 9, 9):
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        extra = rng.randint(0, n * (n - 1) // 2 - len(edges)) // 2
+        while len(edges) < n - 1 + extra:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        g = Graph(n, edges)
+        counts = {rule: count_timed_trees(g, rule) for rule in RULES}
+        for _ in range(3):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            h = Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+            assert counts == {rule: count_timed_trees(h, rule) for rule in RULES}
+
+
+def test_relabelled_cycles_visit_as_many_quotients(monkeypatch):
+    # The timed memo is keyed on numbered quotients. A depth-first
+    # numbering walks a cycle along itself, so however C12 is labelled it
+    # meets the same quotients as in its natural order.
+    visited = []
+    step = assembly._step_total
+
+    def counted(lower, most, finish):
+        visited.append(lower)
+        return step(lower, most, finish)
+
+    monkeypatch.setattr(assembly, "_step_total", counted)
+    rng = random.Random(3)
+    g = cycle(12)
+    for rule in ("connected", "edge"):
+        visited.clear()
+        expected = count_timed_trees(g, rule)
+        states = len(visited)
+        for _ in range(4):
+            perm = list(range(1, 13))
+            rng.shuffle(perm)
+            h = Graph(12, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            visited.clear()
+            assert count_timed_trees(h, rule) == expected
+            assert len(visited) == states
 
 
 def test_plain_counts_on_random_graphs_keep_their_relations():
