@@ -258,7 +258,9 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     Memoized recursion keyed by the vertex subset alone: a connected
     subset's count sums, over its partitions into connected blocks (only
     the two-splits when the merge bound is at most 2), the product of the
-    block counts, and a single vertex has one tree. Agrees with
+    block counts, and a single vertex has one tree. A subset that induces
+    a clique counts by its size alone (see _clique_trees), so K_n and
+    every NONE count take no subset steps. Agrees with
     len(list(enumerate_trees(...))) wherever enumeration is feasible and
     goes considerably further (default cap COUNTING_LIMIT).
     """
@@ -271,20 +273,39 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
             hit = conn[m] = connected_mask(g, m)
         return hit
 
+    # Each vertex's bit mapped to its closed neighbourhood, for the clique test.
+    closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
     # Exact whenever most <= 2, whatever the rule: at n <= 2 every tree is binary.
     if most <= 2:
-        return _count_edge(g.full_mask(), label_ok, {})
-    return _forests(g.full_mask(), label_ok, {}) >> 1
+        return _count_edge(g.full_mask(), label_ok, closed, {})
+    return _forests(g.full_mask(), label_ok, closed, {}) >> 1
 
 
-def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
+def _is_clique(mask: int, closed: dict[int, int]) -> bool:
+    """Does the masked set induce a complete subgraph? `closed` maps each
+    vertex's bit to its closed neighbourhood."""
+    rest = mask
+    while rest:
+        v = rest & -rest
+        if closed[v] & mask != mask:
+            return False
+        rest ^= v
+    return True
+
+
+def _forests(mask: int, label_ok, closed: dict[int, int], memo: dict[int, int]) -> int:
     """F(S): partitions of the masked set S into admissible blocks, summing
-    the product of the blocks' tree counts T.
+    the product of the blocks' tree counts T, with no merge bound.
 
     The trees rooted at S are its partitions into >= 2 blocks, so for
     |S| >= 2, T(S) = ok(S) * (F(S) - T(S)): F(S) also counts S as a single
     block, which contributes T(S). An admissible S therefore has
     F(S) = 2 T(S), and T(S) = F(S) >> 1; a singleton has T = F = 1.
+
+    A memo miss on a clique S of k vertices returns F(S) = 2 T(K_k) at
+    once, from _clique_trees. The clique test looks at S's lowest vertex
+    first, which is adjacent to all of S, and then at the rest of S among
+    itself, so most states of a sparse graph pay one AND.
     """
     if mask & (mask - 1) == 0:
         return 1
@@ -293,15 +314,19 @@ def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
         return cached
     low = mask & -mask
     rest = mask ^ low
-    total = _forests(rest, label_ok, memo)  # the lowest vertex as a singleton
+    if closed[low] & mask == mask and _is_clique(rest, closed):
+        k = mask.bit_count()
+        total = memo[mask] = 2 * _clique_trees(k, k)
+        return total
+    total = _forests(rest, label_ok, closed, memo)  # the lowest vertex as a singleton
     sub = rest & -rest
     # The other blocks holding the lowest vertex, bar S itself (added below),
     # stepping through the nonempty proper submasks of rest as in _submasks.
     while sub != rest:
         first = low | sub
         if label_ok(first):
-            total += (_forests(first, label_ok, memo) >> 1) * _forests(
-                mask ^ first, label_ok, memo
+            total += (_forests(first, label_ok, closed, memo) >> 1) * _forests(
+                mask ^ first, label_ok, closed, memo
             )
         sub = (sub - rest) & rest
     if label_ok(mask):
@@ -310,20 +335,24 @@ def _forests(mask: int, label_ok, memo: dict[int, int]) -> int:
     return total
 
 
-def _count_edge(mask: int, label_ok, memo: dict[int, int]) -> int:
+def _count_edge(mask: int, label_ok, closed: dict[int, int], memo: dict[int, int]) -> int:
     """T(S) under EDGE, which is 0 for a disconnected S and otherwise sums
     T(A) T(B) over the two-splits of S into connected sides A and B: an
     edge joins two connected sides exactly when their union is connected,
-    so the EDGE trees are the binary CONNECTED trees."""
+    so the EDGE trees are the binary CONNECTED trees. A clique S of k
+    vertices has T(K_k) under bound 2 at once, as in _forests."""
     if mask & (mask - 1) == 0:
         return 1
     cached = memo.get(mask)
     if cached is not None:
         return cached
+    low = mask & -mask
+    rest = mask ^ low
+    if closed[low] & mask == mask and _is_clique(rest, closed):
+        total = memo[mask] = _clique_trees(mask.bit_count(), 2)
+        return total
     total = 0
     if label_ok(mask):
-        low = mask & -mask
-        rest = mask ^ low
         sub = 0
         # The side holding the lowest vertex, stepping through the proper
         # submasks of rest as in _submasks.
@@ -331,10 +360,40 @@ def _count_edge(mask: int, label_ok, memo: dict[int, int]) -> int:
             first = low | sub
             second = mask ^ first
             if label_ok(first) and label_ok(second):
-                total += _count_edge(first, label_ok, memo) * _count_edge(second, label_ok, memo)
+                total += _count_edge(first, label_ok, closed, memo) * _count_edge(
+                    second, label_ok, closed, memo
+                )
             sub = (sub - rest) & rest
     memo[mask] = total
     return total
+
+
+def _clique_trees(k: int, most: int) -> int:
+    """T(K_k) under merge bound `most`: the assembly trees of a vertex set
+    of size k >= 1 that induces a clique, which depend on k alone. A node
+    of K_k has at most k children, so the bound is taken as min(most, k),
+    and counts on graphs of every size share the cached rows."""
+    return _clique_forests(k, min(most, k))[1]
+
+
+@lru_cache(maxsize=None)
+def _clique_forests(r: int, most: int) -> tuple[int, ...]:
+    """F(r, j) for j = 0..most: the partitions of r labelled clique
+    vertices into j blocks, weighted by the product of the blocks' tree
+    counts T under merge bound `most`. The block holding the first vertex
+    has s vertices, chosen C(r - 1, s - 1) ways; F(0, 0) = 1. F(r, 1) is
+    T(r) itself: 1 for r = 1, and otherwise the sum of F(r, j) over
+    2 <= j <= most, which needs T only on fewer than r vertices."""
+    row = [0] * (most + 1)
+    if r == 0:
+        row[0] = 1
+        return tuple(row)
+    for s in range(1, r):
+        ways = binomial(r - 1, s - 1) * _clique_forests(s, most)[1]
+        for j, w in enumerate(_clique_forests(r - s, most)[:most]):
+            row[j + 1] += ways * w
+    row[1] = sum(row[2:]) if r > 1 else 1
+    return tuple(row)
 
 
 def _internal_index(t: AssemblyTree) -> tuple[list[AssemblyTree], list[int]]:

@@ -33,7 +33,7 @@ from asmtree.assembly import (
 )
 from asmtree.combinat import binomial, stirling2
 from asmtree.formulas import connected_complete, td_connected_complete, td_edge_complete
-from asmtree.graph import Graph, complete, cycle, path, star
+from asmtree.graph import Graph, complete, connected_mask, cycle, path, star
 
 from oracles import (
     all_assembly_trees,
@@ -907,7 +907,58 @@ def test_plain_edge_counts_at_the_counting_cap():
     assert count_trees(path(16), "edge") == binomial(30, 15) // 16
     assert count_trees(cycle(16), "edge") == binomial(29, 15)
     assert count_trees(star(12), "edge") == math.factorial(11)
-    assert count_trees(complete(11), "edge") == math.prod(range(1, 20, 2))
+    assert count_trees(complete(16), "edge") == math.prod(range(1, 30, 2))
+
+
+def test_clique_counts_at_the_counting_cap():
+    # A clique counts by its size, so K16 and every `none` count at the cap
+    # take no subset steps.
+    for rule in ("none", "connected"):
+        assert count_trees(complete(16), rule) == connected_complete(16)
+    assert count_trees(path(16), "none") == connected_complete(16)
+
+
+def test_clique_size_table():
+    for k in range(1, 41):
+        assert assembly._clique_trees(k, k) == connected_complete(k)
+        assert assembly._clique_trees(k, 2) == math.prod(range(1, 2 * k - 2, 2))
+
+
+def test_plain_counts_on_cliques_test_no_subsets(monkeypatch):
+    calls = []
+
+    def counted(g, mask):
+        calls.append(mask)
+        return connected_mask(g, mask)
+
+    monkeypatch.setattr(assembly, "connected_mask", counted)
+    for rule in RULES:
+        calls.clear()
+        count_trees(complete(12), rule)
+        assert calls == [(1 << 12) - 1]  # _prepare's check alone
+
+
+def test_plain_counts_where_only_some_subsets_are_cliques():
+    def less(n, gone):
+        return Graph(n, [e for e in complete(n).edges if e not in gone])
+
+    rng = random.Random(13)
+    graphs = [less(5, {(1, 2)}), less(6, {(1, 2)})]
+    for n in (5, 6, 7):
+        while True:
+            g = less(n, set(rng.sample(complete(n).edges, rng.randint(2, 3))))
+            if connected_mask(g, g.full_mask()):
+                break
+        graphs.append(g)
+    listed = {n: list(all_assembly_trees(range(1, n + 1))) for n in (5, 6, 7)}
+    for g in graphs:
+        for rule in RULES:
+            # count_trees_by_listing, with each n's trees listed once
+            assert count_trees(g, rule) == sum(rule_ok(t, g.edges, rule) for t in listed[g.n])
+    # Every relabelling of K_n less an edge is K_n less some edge.
+    for n in (5, 6, 7, 8):
+        for rule in RULES:
+            assert len({count_trees(less(n, {gone}), rule) for gone in complete(n).edges}) == 1
 
 
 def test_unrestricted_rule_ignores_graph_structure():

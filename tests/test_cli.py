@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -191,6 +192,18 @@ def test_counts_print_in_full_past_the_int_string_cap(capsys, monkeypatch, tmp_p
         code, out, err = run_cli(capsys, *argv, "--no-banner")
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == last
+
+
+def test_count_cliques_and_none_at_the_counting_cap(capsys):
+    # No closed form answers these; the subset DP counts a clique by its size.
+    cases = [
+        (["--family", "complete", "--rule", "edge"], math.prod(range(1, 30, 2))),  # 29!!
+        (["--family", "star", "--rule", "none"], formulas.connected_complete(16)),
+    ]
+    for argv, expected in cases:
+        code, out, err = run_cli(capsys, "count", *argv, "--n", "16", "--no-banner", "--no-cache")
+        assert (code, err) == (0, "")
+        assert out == f"{expected}\n"
 
 
 def test_count_rejects_unanswerable_requests(capsys):
