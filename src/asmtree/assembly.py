@@ -161,7 +161,7 @@ def _prepare(
 
     The counters and enumerators run on this pair alone and never test
     the rule. EDGE is g with most = 2, since its trees are the binary
-    CONNECTED trees (see _count_edge); CONNECTED is g with most = n, no
+    CONNECTED trees (see _forests); CONNECTED is g with most = n, no
     bound. NONE is K_n with most = n: every vertex set of K_n is
     connected, and trees carry labels, not edges, so the trees and their
     order are the same. The checks run on g itself first, so a
@@ -255,14 +255,15 @@ def _build_trees(g: Graph, most: int, mask: int, kept: dict) -> Iterator[Assembl
 def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -> int:
     """Number of assembly trees of g under the rule.
 
-    Memoized recursion keyed by the vertex subset alone: a connected
-    subset's count sums, over its partitions into connected blocks (only
-    the two-splits when the merge bound is at most 2), the product of the
-    block counts, and a single vertex has one tree. A subset that induces
-    a clique counts by its size alone (see _clique_trees), so K_n and
-    every NONE count take no subset steps. Agrees with
-    len(list(enumerate_trees(...))) wherever enumeration is feasible and
-    goes considerably further (default cap COUNTING_LIMIT).
+    One memoized recursion over vertex subsets (see _forests) serves
+    both merge bounds: a connected subset's count sums, over its
+    partitions into connected blocks, the product of the block counts,
+    where under bound 2 the rest beside the block holding the lowest
+    vertex must be one tree. A subset that induces a clique counts by its
+    size alone (see _clique_trees), so K_n and every NONE count take no
+    subset steps. Agrees with len(list(enumerate_trees(...))) wherever
+    enumeration is feasible and goes considerably further (default cap
+    COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     conn: dict[int, bool] = {}
@@ -275,10 +276,9 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
 
     # Each vertex's bit mapped to its closed neighbourhood, for the clique test.
     closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
-    # Exact whenever most <= 2, whatever the rule: at n <= 2 every tree is binary.
-    if most <= 2:
-        return _count_edge(g.full_mask(), label_ok, closed, {})
-    return _forests(g.full_mask(), label_ok, closed, {}) >> 1
+    several = int(most > 2)
+    memo = dict.fromkeys(closed, 1)  # a singleton has one tree
+    return _forests(g.full_mask(), several, label_ok, closed, memo) >> several
 
 
 def _is_clique(mask: int, closed: dict[int, int]) -> bool:
@@ -293,22 +293,30 @@ def _is_clique(mask: int, closed: dict[int, int]) -> bool:
     return True
 
 
-def _forests(mask: int, label_ok, closed: dict[int, int], memo: dict[int, int]) -> int:
-    """F(S): partitions of the masked set S into admissible blocks, summing
-    the product of the blocks' tree counts T, with no merge bound.
+def _forests(
+    mask: int, several: int, label_ok, closed: dict[int, int], memo: dict[int, int]
+) -> int:
+    """F(S): the forests of admissible trees on the masked set S, summing
+    the product of the trees' counts T. The merge bound `most` is 2 or at
+    least |S|, and several = int(most > 2).
 
-    The trees rooted at S are its partitions into >= 2 blocks, so for
-    |S| >= 2, T(S) = ok(S) * (F(S) - T(S)): F(S) also counts S as a single
-    block, which contributes T(S). An admissible S therefore has
-    F(S) = 2 T(S), and T(S) = F(S) >> 1; a singleton has T = F = 1.
+    A forest's first tree is on a block B holding S's lowest vertex. With
+    no bound the rest S - B may hold several trees; under bound 2 it must
+    be one tree, so there F = T. Write R(S) for the sum, over such
+    B != S, of T(B) F(S - B): for an admissible S these are the trees
+    rooted at S, and with no bound F(S) also counts S as one block. So
+    F(S) = (ok(S) + several) R(S), and T(S) = F(S) >> several for an
+    admissible S of two or more vertices. Under bound 2 an inadmissible S
+    counts 0 at once, and a block whose rest counts 0 is skipped. These
+    binary trees are the EDGE trees: an edge joins two connected sides
+    exactly when their union is connected. A singleton has T = F = 1,
+    which `memo` must hold from the start.
 
-    A memo miss on a clique S of k vertices returns F(S) = 2 T(K_k) at
+    A memo miss on a clique S of k vertices returns T(K_k) << several at
     once, from _clique_trees. The clique test looks at S's lowest vertex
     first, which is adjacent to all of S, and then at the rest of S among
     itself, so most states of a sparse graph pay one AND.
     """
-    if mask & (mask - 1) == 0:
-        return 1
     cached = memo.get(mask)
     if cached is not None:
         return cached
@@ -316,54 +324,24 @@ def _forests(mask: int, label_ok, closed: dict[int, int], memo: dict[int, int]) 
     rest = mask ^ low
     if closed[low] & mask == mask and _is_clique(rest, closed):
         k = mask.bit_count()
-        total = memo[mask] = 2 * _clique_trees(k, k)
+        total = memo[mask] = _clique_trees(k, k if several else 2) << several
         return total
-    total = _forests(rest, label_ok, closed, memo)  # the lowest vertex as a singleton
+    weight = label_ok(mask) + several
+    if not weight:
+        memo[mask] = 0
+        return 0
+    total = _forests(rest, several, label_ok, closed, memo)  # the lowest vertex alone
     sub = rest & -rest
-    # The other blocks holding the lowest vertex, bar S itself (added below),
-    # stepping through the nonempty proper submasks of rest as in _submasks.
+    # The other blocks holding the lowest vertex, bar S itself, stepping
+    # through the nonempty proper submasks of rest as in _submasks.
     while sub != rest:
         first = low | sub
         if label_ok(first):
-            total += (_forests(first, label_ok, closed, memo) >> 1) * _forests(
-                mask ^ first, label_ok, closed, memo
-            )
+            others = _forests(mask ^ first, several, label_ok, closed, memo)
+            if others:
+                total += (_forests(first, several, label_ok, closed, memo) >> several) * others
         sub = (sub - rest) & rest
-    if label_ok(mask):
-        total *= 2
-    memo[mask] = total
-    return total
-
-
-def _count_edge(mask: int, label_ok, closed: dict[int, int], memo: dict[int, int]) -> int:
-    """T(S) under EDGE, which is 0 for a disconnected S and otherwise sums
-    T(A) T(B) over the two-splits of S into connected sides A and B: an
-    edge joins two connected sides exactly when their union is connected,
-    so the EDGE trees are the binary CONNECTED trees. A clique S of k
-    vertices has T(K_k) under bound 2 at once, as in _forests."""
-    if mask & (mask - 1) == 0:
-        return 1
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    low = mask & -mask
-    rest = mask ^ low
-    if closed[low] & mask == mask and _is_clique(rest, closed):
-        total = memo[mask] = _clique_trees(mask.bit_count(), 2)
-        return total
-    total = 0
-    if label_ok(mask):
-        sub = 0
-        # The side holding the lowest vertex, stepping through the proper
-        # submasks of rest as in _submasks.
-        while sub != rest:
-            first = low | sub
-            second = mask ^ first
-            if label_ok(first) and label_ok(second):
-                total += _count_edge(first, label_ok, closed, memo) * _count_edge(
-                    second, label_ok, closed, memo
-                )
-            sub = (sub - rest) & rest
+    total *= weight
     memo[mask] = total
     return total
 
@@ -380,14 +358,12 @@ def _clique_trees(k: int, most: int) -> int:
 def _clique_forests(r: int, most: int) -> tuple[int, ...]:
     """F(r, j) for j = 0..most: the partitions of r labelled clique
     vertices into j blocks, weighted by the product of the blocks' tree
-    counts T under merge bound `most`. The block holding the first vertex
-    has s vertices, chosen C(r - 1, s - 1) ways; F(0, 0) = 1. F(r, 1) is
-    T(r) itself: 1 for r = 1, and otherwise the sum of F(r, j) over
-    2 <= j <= most, which needs T only on fewer than r vertices."""
+    counts T under merge bound `most`, for r >= 1, so F(r, 0) = 0. When
+    j >= 2 the block holding the first vertex has s < r vertices, chosen
+    C(r - 1, s - 1) ways. F(r, 1) is T(r) itself: 1 for r = 1, and
+    otherwise the sum of F(r, j) over 2 <= j <= most, which needs T only
+    on fewer than r vertices."""
     row = [0] * (most + 1)
-    if r == 0:
-        row[0] = 1
-        return tuple(row)
     for s in range(1, r):
         ways = binomial(r - 1, s - 1) * _clique_forests(s, most)[1]
         for j, w in enumerate(_clique_forests(r - s, most)[:most]):

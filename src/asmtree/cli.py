@@ -6,8 +6,10 @@
     asmtree series --which fubini-egf --order 12
     asmtree oeis   --bfile b000670.txt --family star --rule connected --offset 1
 
-Counts print as plain decimal. "--method both" evaluates the closed form
-and the brute-force counter and exits 1 if they disagree, printing both.
+Counts print as plain decimal. "--method enumerate" runs the memoised
+counter (count_trees, or count_timed_trees with --timed), which lists no
+trees; "--method both" evaluates the closed form and that counter and
+exits 1 if they disagree, printing both.
 Identical invocations produce byte-identical stdout once the version
 banner is suppressed with --no-banner.
 

@@ -950,7 +950,15 @@ def test_plain_counts_where_only_some_subsets_are_cliques():
             if connected_mask(g, g.full_mask()):
                 break
         graphs.append(g)
-    listed = {n: list(all_assembly_trees(range(1, n + 1))) for n in (5, 6, 7)}
+    # Random connected graphs of every size up to 6. One recursion serves
+    # both merge bounds: 2 for `edge`, and for `connected` at n <= 2, where
+    # every tree is binary.
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(4):
+            edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+            graphs.append(Graph(n, edges | set(rng.sample(pairs, rng.randint(0, len(pairs))))))
+    listed = {n: list(all_assembly_trees(range(1, n + 1))) for n in range(1, 8)}
     for g in graphs:
         for rule in RULES:
             # count_trees_by_listing, with each n's trees listed once

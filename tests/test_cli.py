@@ -207,25 +207,30 @@ def test_count_cliques_and_none_at_the_counting_cap(capsys):
 
 
 def test_count_rejects_unanswerable_requests(capsys):
+    # Each request with a word its one-line reason must name.
     bad = [
         # no closed form for plain edge counts
-        ["count", "--family", "path", "--rule", "edge", "--n", "4",
-         "--method", "formula"],
-        ["count", "--family", "caterpillar", "--legs", "1,1",
-         "--rule", "connected", "--method", "both"],
-        ["count", "--family", "custom", "--rule", "connected"],
-        ["count", "--family", "caterpillar", "--rule", "connected"],
-        ["count", "--family", "caterpillar", "--legs", "1,x",
-         "--rule", "connected"],
-        ["count", "--family", "path", "--rule", "connected"],
-        ["count", "--family", "star", "--rule", "connected", "--n", "1"],
-        ["count", "--family", "custom", "--graph-file", "/no/such/file.json",
-         "--rule", "connected"],
+        (["count", "--family", "path", "--rule", "edge", "--n", "4",
+          "--method", "formula"], "closed form"),
+        (["count", "--family", "caterpillar", "--legs", "1,1",
+          "--rule", "connected", "--method", "both"], "closed form"),
+        (["count", "--family", "custom", "--rule", "connected"], "--graph-file"),
+        (["count", "--family", "caterpillar", "--rule", "connected"], "--legs"),
+        (["count", "--family", "caterpillar", "--legs", "1,x",
+          "--rule", "connected"], "--legs"),
+        (["count", "--family", "path", "--rule", "connected"], "--n"),
+        # refused by _build_graph, since no closed form is consulted
+        (["count", "--family", "star", "--rule", "connected",
+          "--method", "enumerate"], "--n"),
+        (["count", "--family", "star", "--rule", "connected", "--n", "1"], "2 vertices"),
+        (["count", "--family", "custom", "--graph-file", "/no/such/file.json",
+          "--rule", "connected"], "/no/such/file.json"),
     ]
-    for argv in bad:
-        code, _, err = run_cli(capsys, *argv, "--no-banner", "--no-cache")
-        assert code == 2
-        assert err.startswith("error:")
+    for argv, word in bad:
+        code, out, err = run_cli(capsys, *argv, "--no-banner", "--no-cache")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and word in err
+        assert len(err.splitlines()) == 1
 
 
 def test_count_rejects_json_booleans_in_a_graph_file(capsys, tmp_path):
@@ -623,7 +628,7 @@ def test_series_all_builders_verify(capsys):
         assert len(out.splitlines()) == 13
 
 
-def test_series_funceq(capsys):
+def test_series_funceq(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, "series", "--which", "td-path-funceq", "--order", "15", "--no-banner"
     )
@@ -634,6 +639,13 @@ def test_series_funceq(capsys):
     )
     assert code == 2
     assert "order" in err
+
+    real = formulas.td_edge_path
+    monkeypatch.setattr(formulas, "td_edge_path", lambda n: real(n) + (n == 5))
+    code, out, _ = run_cli(
+        capsys, "series", "--which", "td-path-funceq", "--order", "10", "--no-banner"
+    )
+    assert (code, out) == (1, "FAIL at k=5\n")
 
 
 def test_series_flags_formula_disagreement(capsys, monkeypatch):
