@@ -6,10 +6,11 @@
     asmtree series --which fubini-egf --order 12
     asmtree oeis   --bfile b000670.txt --family star --rule connected --offset 1
 
-Counts print as plain decimal. "--method enumerate" runs the memoised
-counter (count_trees, or count_timed_trees with --timed), which lists no
-trees; "--method both" evaluates the closed form and that counter and
-exits 1 if they disagree, printing both.
+Counts print as plain decimal. "--method formula" evaluates the closed
+form; "--method enumerate" runs the memoised counter (count_trees, or
+count_timed_trees with --timed), which lists no trees; "--method both"
+cross-checks the two and exits 1 if they disagree, printing both. The
+default is the formula when one exists.
 Identical invocations produce byte-identical stdout once the version
 banner is suppressed with --no-banner.
 
@@ -83,16 +84,19 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser(
         "count", parents=[common], help="count assembly trees of one graph"
     )
+    count.set_defaults(handler=_cmd_count)
     _add_graph_args(count)
     count.add_argument(
         "--method",
         choices=("formula", "enumerate", "both"),
-        help="formula, brute-force counter, or cross-check (default: formula when one exists)",
+        help="closed form, memoised counter (lists no trees), or both cross-checked "
+        "(default: formula when one exists)",
     )
 
     table = sub.add_parser(
         "table", parents=[common], help="tabulate counts over a range of n"
     )
+    table.set_defaults(handler=_cmd_table)
     table.add_argument("--family", choices=SEQUENCE_FAMILIES, required=True)
     table.add_argument("--rule", choices=RULES, required=True)
     table.add_argument("--timed", action="store_true")
@@ -105,18 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
     trees = sub.add_parser(
         "trees", parents=[common], help="stream every assembly tree of one graph"
     )
+    trees.set_defaults(handler=_cmd_trees)
     _add_graph_args(trees)
     trees.add_argument("--format", choices=("json", "dot"), default="json")
 
     ser = sub.add_parser(
         "series", parents=[common], help="print generating-function coefficients"
     )
+    ser.set_defaults(handler=_cmd_series)
     ser.add_argument("--which", choices=SERIES_SELECTORS, required=True)
     ser.add_argument("--order", type=int, required=True)
 
     oeis = sub.add_parser(
         "oeis", parents=[common], help="compare a formula against an OEIS b-file"
     )
+    oeis.set_defaults(handler=_cmd_oeis)
     oeis.add_argument("--bfile", required=True, help="path (or fetchable name) of the b-file")
     oeis.add_argument("--family", choices=SEQUENCE_FAMILIES, required=True)
     oeis.add_argument("--rule", choices=RULES, required=True)
@@ -151,17 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     # every count is printed in full.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    handler = {
-        "count": _cmd_count,
-        "table": _cmd_table,
-        "trees": _cmd_trees,
-        "series": _cmd_series,
-        "oeis": _cmd_oeis,
-    }[args.command]
     try:
         if not args.no_banner:
             print(f"asmtree {__version__}")
-        code = handler(args)
+        code = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
@@ -201,10 +201,14 @@ def _build_graph(args: argparse.Namespace) -> graphs.Graph:
     if args.family == "caterpillar":
         legs = _parse_legs(args.legs)
         return graphs.caterpillar(len(legs), legs)
+    build, _ = _SEQUENCES[args.family]
+    return build(_required_n(args))
+
+
+def _required_n(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError(f"--n is required for family {args.family}")
-    build, _ = _SEQUENCES[args.family]
-    return build(args.n)
+    return args.n
 
 
 def _oracle_count(g: graphs.Graph, rule: str, timed: bool) -> int:
@@ -280,33 +284,24 @@ def _store_cache(entries: dict[str, str]) -> None:
         raise
 
 
-def _closed_form(args: argparse.Namespace, hint: str = "") -> formulas.SequenceFormula:
-    """The closed form for the request's family, rule and timing."""
-    entry = formulas.formula_for(args.family, args.rule, args.timed)
-    if entry is None:
-        raise ValueError(
-            f"no closed form is known for family={args.family} rule={args.rule} "
-            f"timed={str(args.timed).lower()}{hint}"
-        )
-    return entry
+def _no_closed_form(args: argparse.Namespace, hint: str = "") -> ValueError:
+    return ValueError(
+        f"no closed form is known for family={args.family} rule={args.rule} "
+        f"timed={str(args.timed).lower()}{hint}"
+    )
 
 
 def _check_formula_n(n: int) -> None:
+    # Each command checks the largest n it evaluates, before any form runs.
     if n > FORMULA_LIMIT:
         raise ValueError(f"closed forms are evaluated up to n = {FORMULA_LIMIT}, got {n}")
 
 
-def _formula_value(entry: formulas.SequenceFormula, n: int) -> int:
-    """The closed form at n, refused above FORMULA_LIMIT. Below its domain
-    the form itself raises ValueError."""
-    _check_formula_n(n)
-    return entry.fn(n)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
-    has_form = formulas.formula_for(args.family, args.rule, args.timed) is not None
-    method = args.method or ("formula" if has_form else "enumerate")
-    entry = None if method == "enumerate" else _closed_form(args, "; use --method enumerate")
+    entry = formulas.formula_for(args.family, args.rule, args.timed)
+    method = args.method or ("enumerate" if entry is None else "formula")
+    if method != "enumerate" and entry is None:
+        raise _no_closed_form(args, "; use --method enumerate")
 
     # A custom graph is read once; its canonical form is part of the key.
     g = _build_graph(args) if args.family == "custom" else None
@@ -319,9 +314,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     formula_value = oracle_value = None
     if method in ("formula", "both"):
-        if args.n is None:
-            raise ValueError(f"--n is required for family {args.family}")
-        formula_value = _formula_value(entry, args.n)
+        n = _required_n(args)
+        _check_formula_n(n)
+        formula_value = entry.fn(n)
     if method in ("enumerate", "both"):
         if g is None:
             g = _build_graph(args)
@@ -330,7 +325,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method == "both" and formula_value != oracle_value:
         print(f"formula={formula_value}")
         print(f"oracle={oracle_value}")
-        print("error: formula and brute-force counts disagree", file=sys.stderr)
+        print("error: formula and counter disagree", file=sys.stderr)
         return 1
 
     value = formula_value if formula_value is not None else oracle_value
@@ -345,70 +340,47 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(args: argparse.Namespace) -> list[dict]:
-    entry = formulas.formula_for(args.family, args.rule, args.timed)
-    build, min_n = _SEQUENCES[args.family]
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        formula_value = None
-        if entry is not None and n >= entry.min_n:
-            formula_value = _formula_value(entry, n)
-        oracle_value = None
-        if min_n <= n <= assembly.ENUMERATION_LIMIT:
-            oracle_value = _oracle_count(build(n), args.rule, args.timed)
-        agree = None
-        if formula_value is not None and oracle_value is not None:
-            agree = formula_value == oracle_value
-        rows.append(
-            {"n": n, "formula": formula_value, "oracle": oracle_value, "agree": agree}
-        )
-    return rows
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.n_min < 1:
         raise ValueError("--n-min must be at least 1")
-    if formulas.formula_for(args.family, args.rule, args.timed) is not None:
+    entry = formulas.formula_for(args.family, args.rule, args.timed)
+    if entry is not None:
         _check_formula_n(args.n_max)
-    rows = _table_rows(args)
+    build, min_n = _SEQUENCES[args.family]
+    columns = ("n", "formula", "oracle", "agree")
+    rows = []
+    for n in range(args.n_min, args.n_max + 1):
+        # Counts travel as decimal strings, in JSON too; a silent route is None.
+        formula = oracle = agree = None
+        if entry is not None and n >= entry.min_n:
+            formula = str(entry.fn(n))
+        if min_n <= n <= assembly.ENUMERATION_LIMIT:
+            oracle = str(_oracle_count(build(n), args.rule, args.timed))
+        if formula is not None and oracle is not None:
+            agree = formula == oracle
+        rows.append((n, formula, oracle, agree))
 
-    def cell(value: object) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(value).lower()
-        return str(value)
-
-    if args.format == "csv":
-        print("n,formula,oracle,agree")
-        for row in rows:
-            print(f"{row['n']},{cell(row['formula'])},{cell(row['oracle'])},{cell(row['agree'])}")
-    elif args.format == "markdown":
-        print("| n | formula | oracle | agree |")
-        print("| --- | --- | --- | --- |")
-        for row in rows:
-            print(
-                f"| {row['n']} | {cell(row['formula'])} | {cell(row['oracle'])} "
-                f"| {cell(row['agree'])} |"
-            )
-    else:
+    if args.format == "json":
         payload = {
             "family": args.family,
             "rule": args.rule,
             "timed": args.timed,
-            "rows": [
-                {
-                    "n": row["n"],
-                    "formula": None if row["formula"] is None else str(row["formula"]),
-                    "oracle": None if row["oracle"] is None else str(row["oracle"]),
-                    "agree": row["agree"],
-                }
-                for row in rows
-            ],
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         print(json.dumps(payload, indent=2))
+        return 0
+    lines = [columns, *rows]
+    if args.format == "markdown":
+        # Markdown is csv with a separator row and "| ... |" framing.
+        lines.insert(1, ("---",) * len(columns))
+        join, frame = " | ", "| {} |"
+    else:
+        join, frame = ",", "{}"
+    for row in lines:
+        # Counts are digits, so lowering spells only the booleans as JSON does.
+        print(frame.format(join.join("" if v is None else str(v).lower() for v in row)))
     return 0
 
 
@@ -499,7 +471,9 @@ def _resolve_bfile(arg: str) -> str:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    entry = _closed_form(args)
+    entry = formulas.formula_for(args.family, args.rule, args.timed)
+    if entry is None:
+        raise _no_closed_form(args)
     terms = [
         (index, expected)
         for index, expected in sorted(_read_bfile(_resolve_bfile(args.bfile)))
@@ -510,7 +484,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         raise ValueError("no overlapping terms between the b-file and the formula domain")
     _check_formula_n(terms[-1][0] + args.offset)
     for index, expected in terms:
-        got = _formula_value(entry, index + args.offset)
+        got = entry.fn(index + args.offset)
         ok = got == expected
         print(f"{index}\t{expected}\t{got}\t{'ok' if ok else 'MISMATCH'}")
         if not ok:

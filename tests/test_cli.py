@@ -233,6 +233,18 @@ def test_count_rejects_unanswerable_requests(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_refused_counts_leave_the_cache_alone(capsys, isolated_env):
+    # with the cache on, a refusal after the cache lookup stores nothing
+    for extra in ([], ["--n", "1001"]):
+        code, out, err = run_cli(
+            capsys,
+            "count", "--family", "path", "--rule", "connected", *extra, "--no-banner",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (isolated_env / "cache" / "counts.txt").exists()
+
+
 def test_count_rejects_json_booleans_in_a_graph_file(capsys, tmp_path):
     for i, text in enumerate(
         ['{"n": true, "edges": []}', '{"n": 2, "edges": [[true, 2]]}']
@@ -433,7 +445,7 @@ def test_table_csv_timed_complete(capsys):
 
 
 def test_table_blanks_where_a_route_is_silent(capsys):
-    # the brute-force column stops at the enumeration cap
+    # the oracle column stops at the enumeration cap
     code, out, _ = run_cli(
         capsys,
         "table", "--family", "star", "--rule", "connected",
@@ -454,7 +466,7 @@ def test_table_blanks_where_a_route_is_silent(capsys):
     )
     assert out.splitlines()[1:] == ["1,1,,", "2,1,,", "3,4,4,true", "4,23,23,true"]
 
-    # no closed form under rule none: only the brute-force column fills
+    # no closed form under rule none: only the oracle column fills
     code, out, _ = run_cli(
         capsys,
         "table", "--family", "path", "--rule", "none",
@@ -476,6 +488,21 @@ def test_table_markdown(capsys):
         "| 3 | 3 | 3 | true |",
         "| 4 | 11 | 11 | true |",
     ]
+
+    # blank cells keep their framing: past the enumeration cap, and under
+    # rule none, which has no closed form
+    for argv, last in (
+        (["--family", "star", "--rule", "connected", "--n-min", "9", "--n-max", "10"],
+         "| 10 | 7087261 |  |  |"),
+        (["--family", "path", "--rule", "none", "--n-min", "4", "--n-max", "5"],
+         "| 5 |  | 236 |  |"),
+    ):
+        code, out, err = run_cli(
+            capsys, "table", *argv, "--format", "markdown", "--no-banner"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "| --- | --- | --- | --- |"
+        assert out.splitlines()[-1] == last
 
 
 def test_table_json(capsys):
