@@ -45,6 +45,7 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     complete,
+    component_mask,
     connected_mask,
     crossing_mask,
     iter_bits,
@@ -259,26 +260,20 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     both merge bounds: a connected subset's count sums, over its
     partitions into connected blocks, the product of the block counts,
     where under bound 2 the rest beside the block holding the lowest
-    vertex must be one tree. A subset that induces a clique counts by its
-    size alone (see _clique_trees), so K_n and every NONE count take no
-    subset steps. Agrees with len(list(enumerate_trees(...))) wherever
+    vertex must be one tree. A subset that falls apart in g counts as the
+    product of its components, so only connected subsets pay for the loop
+    over blocks. A subset that induces a clique counts by its size alone
+    (see _clique_trees), so K_n and every NONE count take no subset
+    steps. Agrees with len(list(enumerate_trees(...))) wherever
     enumeration is feasible and goes considerably further (default cap
     COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
-    conn: dict[int, bool] = {}
-
-    def label_ok(m: int) -> bool:
-        hit = conn.get(m)
-        if hit is None:
-            hit = conn[m] = connected_mask(g, m)
-        return hit
-
     # Each vertex's bit mapped to its closed neighbourhood, for the clique test.
     closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
     several = int(most > 2)
     memo = dict.fromkeys(closed, 1)  # a singleton has one tree
-    return _forests(g.full_mask(), several, label_ok, closed, memo) >> several
+    return _forests(g.full_mask(), several, g, closed, memo, {}) >> several
 
 
 def _is_clique(mask: int, closed: dict[int, int]) -> bool:
@@ -294,54 +289,82 @@ def _is_clique(mask: int, closed: dict[int, int]) -> bool:
 
 
 def _forests(
-    mask: int, several: int, label_ok, closed: dict[int, int], memo: dict[int, int]
+    mask: int,
+    several: int,
+    g: Graph,
+    closed: dict[int, int],
+    memo: dict[int, int],
+    alone: dict[int, bool],
 ) -> int:
     """F(S): the forests of admissible trees on the masked set S, summing
-    the product of the trees' counts T. The merge bound `most` is 2 or at
-    least |S|, and several = int(most > 2).
+    the product of the trees' counts T, for an S that is not in `memo`.
+    The merge bound `most` is 2 or at least |S|, and several =
+    int(most > 2). The caller looks `memo` up first, so a hit costs no
+    call; a singleton has T = F = 1, which `memo` must hold from the start.
 
-    A forest's first tree is on a block B holding S's lowest vertex. With
-    no bound the rest S - B may hold several trees; under bound 2 it must
-    be one tree, so there F = T. Write R(S) for the sum, over such
-    B != S, of T(B) F(S - B): for an admissible S these are the trees
+    A forest's trees sit on connected blocks, so a block never crosses
+    the components of the graph S induces. When S falls apart, with no
+    bound F(S) is the product of F over the component of S's lowest
+    vertex and F over the rest; under bound 2 the forest must be one
+    tree, and F(S) = 0.
+
+    On a connected S, a forest's first tree is on a block B holding S's
+    lowest vertex. With no bound the rest S - B may hold several trees;
+    under bound 2 it must be one tree, so there F = T. Write R(S) for the
+    sum, over connected B != S, of T(B) F(S - B): these are the trees
     rooted at S, and with no bound F(S) also counts S as one block. So
-    F(S) = (ok(S) + several) R(S), and T(S) = F(S) >> several for an
-    admissible S of two or more vertices. Under bound 2 an inadmissible S
-    counts 0 at once, and a block whose rest counts 0 is skipped. These
-    binary trees are the EDGE trees: an edge joins two connected sides
-    exactly when their union is connected. A singleton has T = F = 1,
-    which `memo` must hold from the start.
+    F(S) = R(S) << several, and T(S) = F(S) >> several for S of two or
+    more vertices. Under bound 2 a block whose rest counts 0 is skipped.
+    These binary trees are the EDGE trees: an edge joins two connected
+    sides exactly when their union is connected. Whether B is connected
+    is read off the same walk (see component_mask) and kept in `alone`.
 
-    A memo miss on a clique S of k vertices returns T(K_k) << several at
-    once, from _clique_trees. The clique test looks at S's lowest vertex
-    first, which is adjacent to all of S, and then at the rest of S among
+    A clique S of k vertices returns T(K_k) << several at once, from
+    _clique_trees. The clique test looks at S's lowest vertex first,
+    which is adjacent to all of S, and then at the rest of S among
     itself, so most states of a sparse graph pay one AND.
     """
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
     low = mask & -mask
     rest = mask ^ low
     if closed[low] & mask == mask and _is_clique(rest, closed):
         k = mask.bit_count()
         total = memo[mask] = _clique_trees(k, k if several else 2) << several
         return total
-    weight = label_ok(mask) + several
-    if not weight:
-        memo[mask] = 0
-        return 0
-    total = _forests(rest, several, label_ok, closed, memo)  # the lowest vertex alone
+    part = component_mask(g, mask)
+    if part != mask:
+        total = 0
+        if several:
+            total = memo.get(part)
+            if total is None:
+                total = _forests(part, several, g, closed, memo, alone)
+            others = memo.get(mask ^ part)
+            if others is None:
+                others = _forests(mask ^ part, several, g, closed, memo, alone)
+            total *= others
+        memo[mask] = total
+        return total
+    total = memo.get(rest)  # the lowest vertex alone
+    if total is None:
+        total = _forests(rest, several, g, closed, memo, alone)
     sub = rest & -rest
     # The other blocks holding the lowest vertex, bar S itself, stepping
     # through the nonempty proper submasks of rest as in _submasks.
     while sub != rest:
         first = low | sub
-        if label_ok(first):
-            others = _forests(mask ^ first, several, label_ok, closed, memo)
+        ok = alone.get(first)
+        if ok is None:
+            ok = alone[first] = component_mask(g, first) == first
+        if ok:
+            others = memo.get(mask ^ first)
+            if others is None:
+                others = _forests(mask ^ first, several, g, closed, memo, alone)
             if others:
-                total += (_forests(first, several, label_ok, closed, memo) >> several) * others
+                trees = memo.get(first)
+                if trees is None:
+                    trees = _forests(first, several, g, closed, memo, alone)
+                total += (trees >> several) * others
         sub = (sub - rest) & rest
-    total *= weight
+    total <<= several
     memo[mask] = total
     return total
 
@@ -424,7 +447,10 @@ def count_level_assignments(t: AssemblyTree) -> int:
             )
         return cached
 
-    return fill(0)
+    try:
+        return fill(0)
+    finally:
+        del fill  # the closure refers to itself; break the cycle
 
 
 def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
@@ -450,7 +476,10 @@ def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
                 stamped[node.label] = AssemblyTree(node.label, kids, next_time)
             yield from build(placed | pick, next_time + 1)
 
-    yield from build(0, 1)
+    try:
+        yield from build(0, 1)
+    finally:
+        del build  # the closure refers to itself; break the cycle
 
 
 def enumerate_timed_trees(
@@ -507,7 +536,10 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
             cached = memo[lower] = _step_total(lower, most, finish)
         return cached
 
-    return finish(start)
+    try:
+        return finish(start)
+    finally:
+        del finish  # the closure refers to itself; break the cycle
 
 
 def _depth_first(g: Graph) -> list[int]:
@@ -531,7 +563,10 @@ def _depth_first(g: Graph) -> list[int]:
             if not seen >> (u - 1) & 1:
                 visit(u)
 
-    visit(min(rank, key=rank.__getitem__))
+    try:
+        visit(min(rank, key=rank.__getitem__))
+    finally:
+        del visit  # the closure refers to itself; break the cycle
     return order
 
 
@@ -577,7 +612,10 @@ def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
             rows.pop()
         return total
 
-    return arrange((1 << k) - 1, 0)
+    try:
+        return arrange((1 << k) - 1, 0)
+    finally:
+        del arrange  # the closure refers to itself; break the cycle
 
 
 def _complete_step(k: int, most: int, finish) -> int:
@@ -643,7 +681,10 @@ def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
             for child in node.children:
                 collect(child)
 
-    collect(t)
+    try:
+        collect(t)
+    finally:
+        del collect  # the closure refers to itself; break the cycle
     return frozenset(blocks)
 
 
@@ -781,7 +822,10 @@ def tree_from_dict(data: object) -> AssemblyTree:
             raise ValueError(f'"time" must be an int, got {d["time"]!r}')
         return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
-    return build(data, 0)
+    try:
+        return build(data, 0)
+    finally:
+        del build  # the closure refers to itself; break the cycle
 
 
 def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
@@ -832,6 +876,9 @@ def _to_dot(t: AssemblyTree) -> str:
             lines.append(f"  n{me} -> n{cid};")
         return me
 
-    emit(t)
+    try:
+        emit(t)
+    finally:
+        del emit  # the closure refers to itself; break the cycle
     lines.append("}")
     return "\n".join(lines)

@@ -302,6 +302,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     method = args.method or ("enumerate" if entry is None else "formula")
     if method != "enumerate" and entry is None:
         raise _no_closed_form(args, "; use --method enumerate")
+    if args.family in _SEQUENCES:
+        # Every method refuses an n below the family's domain, before a
+        # closed form runs or the cache is read.
+        _, min_n = _SEQUENCES[args.family]
+        n = _required_n(args)
+        if n < min_n:
+            raise ValueError(f"family {args.family} needs at least {min_n} vertices, got --n {n}")
 
     # A custom graph is read once; its canonical form is part of the key.
     g = _build_graph(args) if args.family == "custom" else None
@@ -314,9 +321,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     formula_value = oracle_value = None
     if method in ("formula", "both"):
-        n = _required_n(args)
-        _check_formula_n(n)
-        formula_value = entry.fn(n)
+        # A closed form serves a sequence family, whose n was checked above.
+        _check_formula_n(args.n)
+        formula_value = entry.fn(args.n)
     if method in ("enumerate", "both"):
         if g is None:
             g = _build_graph(args)

@@ -4,9 +4,9 @@ paths, cycles, complete graphs and caterpillars.
 Vertices are numbered 1..n. Vertex subsets cross the API boundary as
 ordinary Python sets; internally they travel as bit masks (bit i-1 stands
 for vertex i), which is what keeps the subset dynamic programming in
-`assembly` cheap, and the connectivity tests `connected_mask` and
-`crossing_mask` take masks (`vertex_mask` packs a set). Graphs never
-change after construction.
+`assembly` cheap, and the connectivity tests `component_mask`,
+`connected_mask` and `crossing_mask` take masks (`vertex_mask` packs a
+set). Graphs never change after construction.
 """
 
 from __future__ import annotations
@@ -97,19 +97,25 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)!r})"
 
 
-def connected_mask(g: Graph, mask: int) -> bool:
-    """Is the subgraph induced by the masked vertex set connected?"""
+def component_mask(g: Graph, mask: int) -> int:
+    """The component of the masked set's lowest vertex in the subgraph the
+    set induces, as a bit mask."""
     if mask == 0:
         raise ValueError("empty vertex set")
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        reach = 0
-        for v in iter_bits(frontier):
-            reach |= g._adj[v]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
+    adj = g._adj
+    seen = todo = mask & -mask
+    while todo:
+        v = todo & -todo
+        todo ^= v
+        new = adj[v.bit_length()] & mask & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
+def connected_mask(g: Graph, mask: int) -> bool:
+    """Is the subgraph induced by the masked vertex set connected?"""
+    return component_mask(g, mask) == mask
 
 
 def crossing_mask(g: Graph, a_mask: int, b_mask: int) -> bool:

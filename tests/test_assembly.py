@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from asmtree.assembly import (
 )
 from asmtree.combinat import binomial, stirling2
 from asmtree.formulas import connected_complete, td_connected_complete, td_edge_complete
-from asmtree.graph import Graph, complete, connected_mask, cycle, path, star
+from asmtree.graph import Graph, complete, connected_mask, cycle, path, star, vertex_mask
 
 from oracles import (
     all_assembly_trees,
@@ -967,6 +968,98 @@ def test_plain_counts_where_only_some_subsets_are_cliques():
     for n in (5, 6, 7, 8):
         for rule in RULES:
             assert len({count_trees(less(n, {gone}), rule) for gone in complete(n).edges}) == 1
+
+
+def forests_on(g, mask, several):
+    """assembly._forests on a mask of g, set up as count_trees sets it up."""
+    closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
+    memo = dict.fromkeys(closed, 1)
+    return memo.get(mask) or assembly._forests(mask, several, g, closed, memo, {})
+
+
+def test_forests_on_a_set_that_falls_apart_multiply_over_its_components():
+    # No block crosses components: with no bound a forest is one forest
+    # per component, and under bound 2 no forest is one tree.
+    g = path(8)
+    for parts in (((1, 2, 3), (5, 6, 7, 8)), ((1, 2, 3), (5,)), ((1,), (3, 4, 5)),
+                  ((2, 3), (5, 6), (8,))):
+        mask = vertex_mask(itertools.chain(*parts))
+        expected = math.prod(forests_on(g, vertex_mask(part), 1) for part in parts)
+        # F = 2 T on a connected set of two or more vertices, 1 on a singleton
+        assert expected == math.prod(
+            2 * count_trees(path(len(part)), "connected") if len(part) > 1 else 1
+            for part in parts
+        )
+        assert forests_on(g, mask, 1) == expected
+        assert forests_on(g, mask, 0) == 0
+
+
+def test_plain_counts_on_sparse_graphs_do_not_depend_on_the_numbering():
+    # Two cliques joined by a long path, and sparse random graphs, whose
+    # vertex sets fall apart in many ways.
+    bridge = Graph(13, [
+        *itertools.combinations(range(1, 5), 2),
+        *((v, v + 1) for v in range(4, 10)),
+        *itertools.combinations(range(10, 14), 2),
+    ])
+    graphs = [bridge]
+    rng = random.Random(16)
+    for n in (11, 12, 13):
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        while len(edges) < n + 2:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        counts = {rule: count_trees(g, rule) for rule in RULES}
+        for _ in range(3):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            assert counts == {rule: count_trees(h, rule) for rule in RULES}
+
+
+def test_plain_counts_at_the_counting_cap_are_pinned():
+    # R(16, 8, 5): a random spanning tree on 16 vertices plus 8 random edges.
+    r = random.Random(5)
+    edges = {(r.randrange(1, i), i) for i in range(2, 17)}
+    while len(edges) < 15 + 8:
+        edges.add(tuple(sorted(r.sample(range(1, 17), 2))))
+    pinned = [
+        (cycle(16), 13141557519, 77558760),
+        (path(16), 1968801519, 9694845),
+        (Graph(16, edges), 33624586397876, 232175775103),
+    ]
+    for g, connected, edge in pinned:
+        assert (count_trees(g, "connected"), count_trees(g, "edge")) == (connected, edge)
+
+
+def test_counters_and_enumerators_leave_no_garbage_cycles():
+    # A count's memo is freed when the count returns, not when the
+    # collector next runs: no call leaves a reference cycle behind, and
+    # neither does a walk over a tree.
+    calls = [
+        lambda: count_trees(cycle(10), "connected"),
+        lambda: count_trees(cycle(10), "edge"),
+        lambda: count_timed_trees(cycle(10), "edge"),
+        lambda: count_timed_trees(complete(10), "connected"),
+        lambda: count_level_assignments(next(enumerate_trees(path(6), "connected"))),
+        lambda: list(enumerate_trees(cycle(6), "connected")),
+        lambda: next(enumerate_trees(complete(7), "connected")),
+        lambda: list(enumerate_timed_trees(cycle(5), "connected")),
+        lambda: next(enumerate_timed_trees(complete(6), "connected")),
+        # the recursive walks over one tree
+        lambda: parse_tree(serialize_tree(two_wing_example()[1])),
+        lambda: serialize_tree(two_wing_example()[1], "dot"),
+        lambda: frontier_partition(two_wing_example()[1], 1),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unrestricted_rule_ignores_graph_structure():

@@ -245,6 +245,31 @@ def test_refused_counts_leave_the_cache_alone(capsys, isolated_env):
         assert not (isolated_env / "cache" / "counts.txt").exists()
 
 
+def test_count_refuses_n_below_the_family_domain(capsys, monkeypatch, isolated_env):
+    # Every method refuses as enumeration does, before a closed form runs
+    # (the timed cycle form is defined from n = 1) and with nothing cached.
+    evaluated = []
+    real = formulas.formula_for
+
+    def watched(family, rule, timed):
+        entry = real(family, rule, timed)
+        return entry and entry._replace(fn=lambda n: evaluated.append(n) or entry.fn(n))
+
+    monkeypatch.setattr(cli.formulas, "formula_for", watched)
+    requests = [
+        (["--family", "cycle", "--rule", "connected", "--timed", "--n", n], "3 vertices")
+        for n in ("1", "2")
+    ] + [(["--family", "star", "--rule", "connected", "--n", "1"], "2 vertices")]
+    for argv, word in requests:
+        for method in ("formula", "both", "enumerate"):
+            code, out, err = run_cli(capsys, "count", *argv, "--method", method, "--no-banner")
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and word in err
+            assert len(err.splitlines()) == 1
+    assert evaluated == []
+    assert not (isolated_env / "cache" / "counts.txt").exists()
+
+
 def test_count_rejects_json_booleans_in_a_graph_file(capsys, tmp_path):
     for i, text in enumerate(
         ['{"n": true, "edges": []}', '{"n": 2, "edges": [[true, 2]]}']

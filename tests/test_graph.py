@@ -7,6 +7,7 @@ from asmtree.graph import (
     Graph,
     caterpillar,
     complete,
+    component_mask,
     connected_mask,
     crossing_mask,
     cycle,
@@ -150,6 +151,24 @@ def test_connectivity_matches_union_find_oracle():
         for r in range(1, g.n + 1):
             for vs in itertools.combinations(range(1, g.n + 1), r):
                 assert connected(g, vs) == induced_connected(vs, g.edges)
+
+
+def test_component_mask_matches_union_find_oracle():
+    # The component of the lowest vertex: connected, and no vertex of the
+    # rest of the set can join it, so it is the whole set exactly when the
+    # set is connected.
+    cases = [star(6), path(6), cycle(7), caterpillar(3, [1, 2, 0]),
+             Graph(7, [(1, 4), (2, 5), (4, 7), (3, 6), (5, 6)])]
+    for g in cases:
+        for r in range(1, g.n + 1):
+            for vs in itertools.combinations(range(1, g.n + 1), r):
+                part = mask_vertices(component_mask(g, vertex_mask(vs)))
+                assert min(vs) in part and part <= set(vs)
+                assert induced_connected(part, g.edges)
+                assert not any(induced_connected(part | {v}, g.edges) for v in set(vs) - part)
+                assert (part == set(vs)) == induced_connected(vs, g.edges)
+    with pytest.raises(ValueError):
+        component_mask(path(3), 0)
 
 
 def test_cycle_connectivity_is_circular_arcs():
