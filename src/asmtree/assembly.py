@@ -681,10 +681,7 @@ def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
             for child in node.children:
                 collect(child)
 
-    try:
-        collect(t)
-    finally:
-        del collect  # the closure refers to itself; break the cycle
+    collect(t)
     return frozenset(blocks)
 
 
@@ -822,10 +819,7 @@ def tree_from_dict(data: object) -> AssemblyTree:
             raise ValueError(f'"time" must be an int, got {d["time"]!r}')
         return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
-    try:
-        return build(data, 0)
-    finally:
-        del build  # the closure refers to itself; break the cycle
+    return build(data, 0)
 
 
 def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
@@ -876,9 +870,6 @@ def _to_dot(t: AssemblyTree) -> str:
             lines.append(f"  n{me} -> n{cid};")
         return me
 
-    try:
-        emit(t)
-    finally:
-        del emit  # the closure refers to itself; break the cycle
+    emit(t)
     lines.append("}")
     return "\n".join(lines)

@@ -926,17 +926,27 @@ def test_clique_size_table():
 
 
 def test_plain_counts_on_cliques_test_no_subsets(monkeypatch):
-    calls = []
+    # The subset DP recurses through the module's `_forests`, and on K_n
+    # the clique step answers its first call, so it is entered once.
+    calls, entered = [], []
 
     def counted(g, mask):
         calls.append(mask)
         return connected_mask(g, mask)
 
+    def forests(mask, *args):
+        entered.append(mask)
+        return recurse(mask, *args)
+
+    recurse = assembly._forests
     monkeypatch.setattr(assembly, "connected_mask", counted)
+    monkeypatch.setattr(assembly, "_forests", forests)
     for rule in RULES:
         calls.clear()
+        entered.clear()
         count_trees(complete(12), rule)
         assert calls == [(1 << 12) - 1]  # _prepare's check alone
+        assert entered == [(1 << 12) - 1]  # no subset below the full set
 
 
 def test_plain_counts_where_only_some_subsets_are_cliques():
@@ -1035,8 +1045,7 @@ def test_plain_counts_at_the_counting_cap_are_pinned():
 
 def test_counters_and_enumerators_leave_no_garbage_cycles():
     # A count's memo is freed when the count returns, not when the
-    # collector next runs: no call leaves a reference cycle behind, and
-    # neither does a walk over a tree.
+    # collector next runs: no call leaves a reference cycle behind.
     calls = [
         lambda: count_trees(cycle(10), "connected"),
         lambda: count_trees(cycle(10), "edge"),
@@ -1047,10 +1056,6 @@ def test_counters_and_enumerators_leave_no_garbage_cycles():
         lambda: next(enumerate_trees(complete(7), "connected")),
         lambda: list(enumerate_timed_trees(cycle(5), "connected")),
         lambda: next(enumerate_timed_trees(complete(6), "connected")),
-        # the recursive walks over one tree
-        lambda: parse_tree(serialize_tree(two_wing_example()[1])),
-        lambda: serialize_tree(two_wing_example()[1], "dot"),
-        lambda: frontier_partition(two_wing_example()[1], 1),
     ]
     gc.collect()
     gc.disable()
