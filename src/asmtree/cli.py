@@ -21,42 +21,43 @@ not present locally, storing them beside the cache.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid request. A
 reader that closes stdout early, as `asmtree trees ... | head` does, ends
 the run quietly with exit 0; any other failed write is an error (exit 2).
+
+Each request imports the modules it runs inside the function that runs
+them, so that a cache hit or a closed form starts without the counters,
+the series and the graph builders; they are looked up as module
+attributes at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import __version__, assembly, formulas, series
-from . import graph as graphs
+from . import __version__, formulas
 from .combinat import factorial
 
-# The families sized by --n: graph builder and smallest n.
-_SEQUENCES = {
-    "star": (graphs.star, 2),
-    "path": (graphs.path, 1),
-    "cycle": (graphs.cycle, 3),
-    "complete": (graphs.complete, 1),
-}
-# Series builder, first k checked, whether coefficient k is scaled by k!
-# (an EGF), and the name of the `formulas` function it must reproduce,
-# looked up when the check runs.
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .series import PowerSeries
+
+# The families sized by --n, each built by the `graph` function of its
+# name, and their smallest n.
+_SEQUENCES = {"star": 2, "path": 1, "cycle": 3, "complete": 1}
+# The name of the `series` builder, first k checked, whether coefficient k
+# is scaled by k! (an EGF), and the name of the `formulas` function it
+# must reproduce; both functions are looked up when the request runs.
 _SERIES = {
-    "fubini-egf": (series.egf_fubini, 1, True, "fubini"),
-    "super-catalan-ogf": (series.ogf_super_catalan, 1, False, "super_catalan"),
-    "cycle-ogf": (series.ogf_connected_cycle, 3, False, "connected_cycle"),
-    "td-cycle-egf": (series.egf_td_cycle, 1, True, "td_connected_cycle"),
+    "fubini-egf": ("egf_fubini", 1, True, "fubini"),
+    "super-catalan-ogf": ("ogf_super_catalan", 1, False, "super_catalan"),
+    "cycle-ogf": ("ogf_connected_cycle", 3, False, "connected_cycle"),
+    "td-cycle-egf": ("egf_td_cycle", 1, True, "td_connected_cycle"),
 }
 SEQUENCE_FAMILIES = tuple(_SEQUENCES)
 FAMILIES = SEQUENCE_FAMILIES + ("caterpillar", "custom")
-RULES = tuple(r.value for r in assembly.GluingRule)
+RULES = ("none", "connected", "edge")  # the values of assembly.GluingRule
 SERIES_SELECTORS = (*_SERIES, "td-path-funceq")
 CACHE_FILE = "counts.txt"
 # The largest n a closed form is evaluated at. The forms memoise every
@@ -193,16 +194,17 @@ def _parse_legs(raw: str | None) -> list[int]:
     return legs
 
 
-def _build_graph(args: argparse.Namespace) -> graphs.Graph:
+def _build_graph(args: argparse.Namespace) -> Graph:
+    from . import graph
+
     if args.family == "custom":
         if not args.graph_file:
             raise ValueError("--graph-file is required for family custom")
-        return graphs.graph_from_json(Path(args.graph_file).read_text())
+        return graph.graph_from_json(Path(args.graph_file).read_text())
     if args.family == "caterpillar":
         legs = _parse_legs(args.legs)
-        return graphs.caterpillar(len(legs), legs)
-    build, _ = _SEQUENCES[args.family]
-    return build(_required_n(args))
+        return graph.caterpillar(len(legs), legs)
+    return getattr(graph, args.family)(_required_n(args))
 
 
 def _required_n(args: argparse.Namespace) -> int:
@@ -211,13 +213,15 @@ def _required_n(args: argparse.Namespace) -> int:
     return args.n
 
 
-def _oracle_count(g: graphs.Graph, rule: str, timed: bool) -> int:
+def _oracle_count(g: Graph, rule: str, timed: bool) -> int:
+    from . import assembly
+
     if timed:
         return assembly.count_timed_trees(g, rule)
     return assembly.count_trees(g, rule)
 
 
-def _request_key(args: argparse.Namespace, method: str, g: graphs.Graph | None) -> str:
+def _request_key(args: argparse.Namespace, method: str, g: Graph | None) -> str:
     """The cache key of a count request; `g` is the graph of family custom."""
     parts = [
         "count",
@@ -229,7 +233,11 @@ def _request_key(args: argparse.Namespace, method: str, g: graphs.Graph | None) 
     if args.family == "caterpillar":
         parts.append(f"legs={args.legs}")
     elif args.family == "custom":
-        digest = hashlib.sha256(graphs.graph_to_json(g).encode()).hexdigest()[:16]
+        import hashlib
+
+        from . import graph
+
+        digest = hashlib.sha256(graph.graph_to_json(g).encode()).hexdigest()[:16]
         parts.append(f"graph={digest}")
     else:
         parts.append(f"n={args.n}")
@@ -266,6 +274,8 @@ def _load_cache() -> dict[str, str]:
 
 
 def _store_cache(entries: dict[str, str]) -> None:
+    import tempfile
+
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / CACHE_FILE
@@ -305,7 +315,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.family in _SEQUENCES:
         # Every method refuses an n below the family's domain, before a
         # closed form runs or the cache is read.
-        _, min_n = _SEQUENCES[args.family]
+        min_n = _SEQUENCES[args.family]
         n = _required_n(args)
         if n < min_n:
             raise ValueError(f"family {args.family} needs at least {min_n} vertices, got --n {n}")
@@ -355,13 +365,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     entry = formulas.formula_for(args.family, args.rule, args.timed)
     if entry is not None:
         _check_formula_n(args.n_max)
-    build, min_n = _SEQUENCES[args.family]
+    from . import assembly, graph
+
+    build, min_n = getattr(graph, args.family), _SEQUENCES[args.family]
     columns = ("n", "formula", "oracle", "agree")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        # Counts travel as decimal strings, in JSON too; a silent route is None.
+        # Counts travel as decimal strings, in JSON too; a silent route is
+        # None, as is every route below the family's domain, where `count`
+        # refuses n.
         formula = oracle = agree = None
-        if entry is not None and n >= entry.min_n:
+        if entry is not None and n >= min_n:
             formula = str(entry.fn(n))
         if min_n <= n <= assembly.ENUMERATION_LIMIT:
             oracle = str(_oracle_count(build(n), args.rule, args.timed))
@@ -370,6 +384,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rows.append((n, formula, oracle, agree))
 
     if args.format == "json":
+        import json
+
         payload = {
             "family": args.family,
             "rule": args.rule,
@@ -392,6 +408,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
+    from . import assembly
+
     g = _build_graph(args)
     if args.timed:
         stream: Iterable = assembly.enumerate_timed_trees(g, args.rule)
@@ -402,7 +420,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _series_checks(which: str, ps: series.PowerSeries, order: int) -> list[str]:
+def _series_checks(which: str, ps: PowerSeries, order: int) -> list[str]:
     """Compare coefficients against the formula route; return mismatch
     descriptions (empty when everything agrees)."""
     _, first, egf, name = _SERIES[which]
@@ -417,6 +435,8 @@ def _series_checks(which: str, ps: series.PowerSeries, order: int) -> list[str]:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import series
+
     if args.which == "td-path-funceq":
         verdict = series.check_td_path_functional_eq(args.order)
         if verdict.ok:
@@ -424,8 +444,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             return 0
         print(f"FAIL at k={verdict.first_mismatch}")
         return 1
-    build, *_ = _SERIES[args.which]
-    ps = build(args.order)
+    ps = getattr(series, _SERIES[args.which][0])(args.order)
     print(series.dump_coefficients(ps))
     problems = _series_checks(args.which, ps, args.order)
     if problems:

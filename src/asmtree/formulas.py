@@ -17,7 +17,6 @@ constructible graphs.
 
 from __future__ import annotations
 
-import inspect
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple
 
@@ -67,8 +66,10 @@ def _recurrence(weight: Callable[[int, int], int]) -> Callable[[int], int]:
             return 1
         return sum(weight(n, j) * count(j) for j in range(1, n))
 
-    # help() and inspect show T's (n), not the weight's (n, j)
-    count.__signature__ = inspect.signature(count, follow_wrapped=False)
+    # help() and inspect show T's (n), not the weight's (n, j): inspect
+    # stops unwrapping at an object with a __signature__ attribute, and
+    # reads the signature of its code when that attribute is None.
+    count.__signature__ = None
     return count
 
 

@@ -310,6 +310,33 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout == "[] False\n"
 
 
+CACHE_HIT = """
+import sys
+import asmtree
+bare = sorted(m for m in sys.modules if m.startswith("asmtree."))
+from asmtree.cli import main
+# a cache miss would run the counter and import asmtree.assembly
+main("count --family path --rule connected --n 6 --method enumerate --no-banner".split())
+heavy = ("asmtree.assembly", "asmtree.series", "asmtree.graph",
+         "dataclasses", "fractions", "hashlib", "json")
+print(bare, [m for m in heavy if m in sys.modules])
+"""
+
+
+def test_a_cache_hit_imports_only_what_it_runs(capsys):
+    # a bare import loads no submodule, and a cached count loads neither
+    # the counters, the series, the graph builders nor their imports
+    argv = "count --family path --rule connected --n 6 --method enumerate --no-banner"
+    assert run_cli(capsys, *argv.split()) == (0, "197\n", "")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", CACHE_HIT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "197\n[] []\n"
+
+
 def test_count_cross_check_catches_a_wrong_formula(capsys, monkeypatch):
     real = formulas.formula_for
 
@@ -483,13 +510,14 @@ def test_table_blanks_where_a_route_is_silent(capsys):
         "11,102247563,,",
     ]
 
-    # cycle graphs start at n=3 but the timed recursion is defined from 1
+    # cycle graphs start at n=3: the timed recursion is defined from 1, but
+    # rows below the family's domain stay blank, as `count` refuses them
     code, out, _ = run_cli(
         capsys,
         "table", "--family", "cycle", "--rule", "connected", "--timed",
         "--n-min", "1", "--n-max", "4", "--no-banner",
     )
-    assert out.splitlines()[1:] == ["1,1,,", "2,1,,", "3,4,4,true", "4,23,23,true"]
+    assert out.splitlines()[1:] == ["1,,,", "2,,,", "3,4,4,true", "4,23,23,true"]
 
     # no closed form under rule none: only the oracle column fills
     code, out, _ = run_cli(

@@ -200,6 +200,8 @@ def test_plain_edge_counts_without_formulas():
 
 
 def first_decisions(fn, n):
+    # the recursion shows its own (n); the weight (n, j) sits behind it
+    assert list(inspect.signature(fn).parameters) == ["n"]
     weight = inspect.unwrap(fn)
     terms = {j: weight(n, j) * fn(j) for j in range(1, n)}
     return {j: term for j, term in terms.items() if term}
