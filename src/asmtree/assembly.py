@@ -34,7 +34,6 @@ definition so it can audit either.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, islice, product
@@ -66,17 +65,56 @@ class GluingRule(Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
 class AssemblyTree:
     """One node of an assembly tree; a leaf when `children` is empty.
 
     `time` is the node's build time in a timed tree and None on every node
-    of an untimed one.
+    of an untimed one. Nodes are immutable and compare and hash by their
+    three fields.
     """
 
+    __slots__ = ("label", "children", "time")
     label: frozenset[int]
-    children: tuple["AssemblyTree", ...] = ()
-    time: int | None = None
+    children: tuple["AssemblyTree", ...]
+    time: int | None
+
+    def __init__(
+        self,
+        label: frozenset[int],
+        children: tuple["AssemblyTree", ...] = (),
+        time: int | None = None,
+    ) -> None:
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "time", time)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AssemblyTree, (self.label, self.children, self.time)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.label, self.children, self.time) == (
+                other.label, other.children, other.time
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.children, self.time))
+
+    def __repr__(self) -> str:
+        return (
+            f"AssemblyTree(label={self.label!r}, children={self.children!r}, "
+            f"time={self.time!r})"
+        )
 
     @property
     def is_leaf(self) -> bool:

@@ -435,6 +435,9 @@ def _series_checks(which: str, ps: PowerSeries, order: int) -> list[str]:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    # Every selector evaluates a closed form at each k up to the order.
+    if args.order > FORMULA_LIMIT:
+        raise ValueError(f"series are evaluated up to order {FORMULA_LIMIT}, got {args.order}")
     from . import series
 
     if args.which == "td-path-funceq":

@@ -1,31 +1,93 @@
 """Truncated formal power series over exact rationals, plus the generating
 functions whose coefficients must reproduce the counting formulas.
 
-A PowerSeries holds coefficients 0..order as Fractions; nothing is ever
-rounded. Binary operations truncate to the shorter operand, and equality
-compares coefficientwise up to the shared order, which is the natural
-notion for truncated series (and the reason instances are unhashable).
+A PowerSeries holds coefficients 0..order as integer numerators over one
+positive common denominator, kept in lowest terms, so all arithmetic runs
+on ints and nothing is ever rounded; `coefficient` and `coefficients`
+hand out Fractions. Binary operations truncate to the shorter operand, and
+equality compares values coefficientwise up to the shared order, which is
+the natural notion for truncated series (and the reason instances are
+unhashable).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from math import gcd, lcm
+from operator import add, mul
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import formulas
 
 Scalar = Union[int, Fraction]
 
 
-class PowerSeries:
-    """A formal power series known exactly up to x**order."""
+def _product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Terms 0..n of the product of two integer coefficient sequences.
 
-    __slots__ = ("_coeffs",)
+    The outer loop visits the nonzero terms of the operand with fewer of
+    them; each visit adds a multiple of the other operand, up to its last
+    nonzero term, in one pass that runs in C.
+    """
+    ta = [(i, c) for i, c in enumerate(a[: n + 1]) if c]
+    tb = [(j, c) for j, c in enumerate(b[: n + 1]) if c]
+    if len(ta) > len(tb):
+        ta, tb, b = tb, ta, a
+    out = [0] * (n + 1)
+    width = tb[-1][0] + 1 if tb else 0
+    for i, c in ta:
+        end = min(n + 1, i + width)
+        out[i:end] = map(add, out[i:end], map(c.__mul__, b[: end - i]))
+    return out
+
+
+def _lowest(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """num / den (den > 0) with their common factor divided out."""
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return [c // g for c in num], den // g
+
+
+def _push(num: list[int], den: int, p: int, q: int) -> int:
+    """Append p / q (q != 0) to the numerators `num` over `den`, widening
+    the common denominator as little as the new term needs; return it."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    p //= g
+    q //= g
+    widen = q // gcd(den, q)
+    if widen > 1:
+        num[:] = map(widen.__mul__, num)
+        den *= widen
+    num.append(p * (den // q))
+    return den
+
+
+class PowerSeries:
+    """A formal power series known exactly up to x**order.
+
+    Coefficient k is `_num[k] / _den`, with `_den` > 0 and no common factor
+    of `_den` and all of `_num`.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        self._coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self._coeffs:
+        values = [Fraction(c) for c in coeffs]
+        if not values:
             raise ValueError("a series needs at least its constant term")
+        # the lcm of denominators in lowest terms leaves no common factor
+        den = lcm(*(v.denominator for v in values))
+        self._num = tuple(v.numerator * (den // v.denominator) for v in values)
+        self._den = den
+
+    @classmethod
+    def _of(cls, num: Sequence[int], den: int) -> "PowerSeries":
+        """The series num / den (den > 0), brought to lowest terms."""
+        ps = object.__new__(cls)
+        num, ps._den = _lowest(num, den)
+        ps._num = tuple(num)
+        return ps
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
@@ -44,21 +106,22 @@ class PowerSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """The coefficient of x**k; k must be within the truncation."""
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient {k} outside truncation order {self.order}")
-        return self._coeffs[k]
+        return Fraction(self._num[k], self._den)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     def truncate(self, order: int) -> "PowerSeries":
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        return PowerSeries(self._coeffs[: order + 1])
+        return PowerSeries._of(self._num[: order + 1], self._den)
 
     def _coerce(self, other: object) -> "PowerSeries | None":
         if isinstance(other, PowerSeries):
@@ -72,12 +135,18 @@ class PowerSeries:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        return PowerSeries([self._coeffs[k] + rhs._coeffs[k] for k in range(n + 1)])
+        den = lcm(self._den, rhs._den)
+        num = map(
+            add,
+            map((den // self._den).__mul__, self._num[: n + 1]),
+            map((den // rhs._den).__mul__, rhs._num[: n + 1]),
+        )
+        return PowerSeries._of(list(num), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self._coeffs])
+        return PowerSeries._of([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> "PowerSeries":
         rhs = self._coerce(other)
@@ -96,15 +165,7 @@ class PowerSeries:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = rhs._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out)
+        return PowerSeries._of(_product(self._num, rhs._num, n), self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -112,58 +173,59 @@ class PowerSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        # Prefixes need not be in lowest terms, so compare cross products.
         n = min(self.order, rhs.order)
-        return self._coeffs[: n + 1] == rhs._coeffs[: n + 1]
+        return list(map(rhs._den.__mul__, self._num[: n + 1])) == list(
+            map(self._den.__mul__, rhs._num[: n + 1])
+        )
 
     # Equality is truncation-aware, so instances must not be hashable.
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
+        shown = ", ".join(str(Fraction(c, self._den)) for c in self._num[:6])
         if self.order > 5:
             shown += ", ..."
         return f"PowerSeries([{shown}], order={self.order})"
 
     def reciprocal(self) -> "PowerSeries":
         """The series b with self * b == 1; needs a nonzero constant term."""
-        a = self._coeffs
+        a, d = self._num, self._den
         if a[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        out = [Fraction(1) / a[0]]
+        # b_0 = 1 / a_0 and b_n = -(sum of a_i b_(n-i), 1 <= i <= n) / a_0;
+        # with a = A / d and b = out / den that is b_n = -s / (A_0 den).
+        out: list[int] = []
+        den = _push(out, 1, d, a[0])
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if a[i]:
-                    acc += a[i] * out[n - i]
-            out.append(-acc / a[0])
-        return PowerSeries(out)
+            s = sum(map(mul, a[1 : n + 1], reversed(out)))
+            den = _push(out, den, -s, a[0] * den)
+        return PowerSeries._of(out, den)
 
     def sqrt(self) -> "PowerSeries":
         """The series s with s * s == self; needs constant term 1."""
-        a = self._coeffs
-        if a[0] != 1:
+        a, d = self._num, self._den
+        if a[0] != d:
             raise ValueError("sqrt needs constant term 1")
-        out = [Fraction(1)]
+        # s_n = (a_n - sum of s_i s_(n-i), 0 < i < n) / 2
+        out, den = [1], 1
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n):
-                acc += out[i] * out[n - i]
-            out.append((a[n] - acc) / 2)
-        return PowerSeries(out)
+            s = sum(map(mul, out[1:n], reversed(out[1:n])))
+            den = _push(out, den, a[n] * den * den - s * d, 2 * d * den * den)
+        return PowerSeries._of(out, den)
 
     def exp(self) -> "PowerSeries":
         """exp of the series; needs constant term 0 so the result is exact."""
-        a = self._coeffs
+        a, d = self._num, self._den
         if a[0] != 0:
             raise ValueError("exp needs constant term 0")
-        out = [Fraction(1)]
+        # e_n = (sum of k a_k e_(n-k), 1 <= k <= n) / n
+        ka = [k * c for k, c in enumerate(a)]
+        out, den = [1], 1
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += k * a[k] * out[n - k]
-            out.append(acc / n)
-        return PowerSeries(out)
+            s = sum(map(mul, ka[1 : n + 1], reversed(out)))
+            den = _push(out, den, s, n * d * den)
+        return PowerSeries._of(out, den)
 
     def compose(self, inner: "PowerSeries | Iterable[Scalar]") -> "PowerSeries":
         """self(inner(x)) truncated to self.order.
@@ -174,16 +236,21 @@ class PowerSeries:
         """
         if not isinstance(inner, PowerSeries):
             inner = PowerSeries(inner)
-        if inner._coeffs[0] != 0:
+        if inner._num[0] != 0:
             raise ValueError("compose needs an inner polynomial with zero constant term")
-        order = self.order
-        padded = list(inner._coeffs[: order + 1])
-        padded += [Fraction(0)] * (order + 1 - len(padded))
-        p = PowerSeries(padded)
-        result = PowerSeries.constant(self._coeffs[-1], order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * p + self._coeffs[k]
-        return result
+        # With self = c / d and inner = q / e on integers, Horner's rule
+        # h = h q / e + c_k from the top term down, with h held as integers
+        # over hden in lowest terms, leaves self(inner) = h / (hden d).
+        order, c, e = self.order, self._num, inner._den
+        terms = [(j, qj) for j, qj in enumerate(inner._num[: order + 1]) if qj]
+        h, hden = [c[order]] + [0] * order, 1
+        for k in range(order - 1, -1, -1):
+            hden *= e
+            nxt = [c[k] * hden] + [0] * order
+            for j, qj in terms:
+                nxt[j:] = map(add, nxt[j:], map(qj.__mul__, h[: order + 1 - j]))
+            h, hden = _lowest(nxt, hden)
+        return PowerSeries._of(h, hden * self._den)
 
 
 def dump_coefficients(ps: PowerSeries) -> str:

@@ -9,6 +9,7 @@ have to be made twice, independently, to slip through a comparison.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 
@@ -106,6 +107,67 @@ def plane_trees(n_leaves: int):
 
 def super_catalan_by_listing(n: int) -> int:
     return sum(1 for _ in plane_trees(n))
+
+
+# ------------------------------------------------------------- power series
+# A truncated series is a plain list of Fractions, coefficients 0..order.
+# Products are schoolbook; reciprocal, sqrt and exp sum textbook series in
+# a variable u with zero constant term, whose m-th power starts at x**m, so
+# terms up to the order suffice.
+
+
+def series_product(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def _sum_of_powers(u, weights):
+    """sum over m of weights[m] * u**m, u a series with zero constant term."""
+    total = [Fraction(0)] * len(u)
+    power = [Fraction(1)] + [Fraction(0)] * (len(u) - 1)
+    for w in weights:
+        total = [t + w * p for t, p in zip(total, power)]
+        power = series_product(power, u)
+    return total
+
+
+def series_reciprocal(a):
+    """1/a = (1/a0) * sum of (-u)**m with u = a/a0 - 1."""
+    c = Fraction(a[0])
+    u = [Fraction(0)] + [-x / c for x in a[1:]]
+    return [t / c for t in _sum_of_powers(u, [1] * len(a))]
+
+
+def series_sqrt(a):
+    """sqrt(1 + u) = sum of binomial(1/2, m) u**m, with u = a - 1."""
+    u = [Fraction(0)] + [Fraction(x) for x in a[1:]]
+    weights, w = [], Fraction(1)
+    for m in range(len(a)):
+        weights.append(w)
+        w = w * (Fraction(1, 2) - m) / (m + 1)
+    return _sum_of_powers(u, weights)
+
+
+def series_exp(a):
+    """exp(a) = sum of a**m / m!, a with zero constant term."""
+    weights, w = [], Fraction(1)
+    for m in range(len(a)):
+        weights.append(w)
+        w /= m + 1
+    return _sum_of_powers([Fraction(x) for x in a], weights)
+
+
+def series_compose(outer, inner):
+    """sum of outer[k] * inner**k, inner an exact polynomial with zero
+    constant term, truncated to the order of `outer`."""
+    n = len(outer)
+    q = ([Fraction(x) for x in inner] + [Fraction(0)] * n)[:n]
+    total = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for c in outer:
+        total = [t + c * p for t, p in zip(total, power)]
+        power = series_product(power, q)
+    return total
 
 
 # -------------------------------------------------------------------- graphs

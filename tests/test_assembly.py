@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -79,6 +80,28 @@ def test_leaf_and_branch():
     nested = branch([branch([leaf(4), leaf(2)]), leaf(1)])
     assert [sorted(c.label) for c in nested.children] == [[1], [2, 4]]
     assert [sorted(n.label) for n in nested.walk()] == [[1, 2, 4], [1], [2, 4], [2], [4]]
+
+
+def test_tree_nodes_are_immutable_values():
+    t = AssemblyTree(frozenset({1, 2}), (leaf(1), leaf(2)))
+    assert (t.label, t.children, t.time) == (frozenset({1, 2}), (leaf(1), leaf(2)), None)
+    assert AssemblyTree(frozenset({3})) == AssemblyTree(frozenset({3}), (), None) == leaf(3)
+    assert t == branch([leaf(2), leaf(1)]) and hash(t) == hash(branch([leaf(2), leaf(1)]))
+    assert leaf(1) != timed_leaf(1) and leaf(1) != (frozenset({1}), (), None)
+    assert len({t, branch([leaf(1), leaf(2)]), timed_branch([timed_leaf(1), timed_leaf(2)], 1)}) == 2
+    assert repr(timed_leaf(1)) == "AssemblyTree(label=frozenset({1}), children=(), time=0)"
+    assert repr(t) == (
+        "AssemblyTree(label=frozenset({1, 2}), children=("
+        "AssemblyTree(label=frozenset({1}), children=(), time=None), "
+        "AssemblyTree(label=frozenset({2}), children=(), time=None)), time=None)"
+    )
+    for name in ("label", "children", "time", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert not hasattr(t, "__dict__")
+    assert pickle.loads(pickle.dumps(t)) == t
 
 
 def test_branch_rejects_bad_children():

@@ -337,6 +337,24 @@ def test_a_cache_hit_imports_only_what_it_runs(capsys):
     assert done.stdout == "197\n[] []\n"
 
 
+COUNTER_ROUTE = """
+import sys
+from asmtree.cli import main
+main("count --family path --rule connected --n 5 --method enumerate --no-cache --no-banner".split())
+print([m for m in ("dataclasses", "inspect") if m in sys.modules])
+"""
+
+
+def test_the_counter_route_leaves_dataclasses_and_inspect_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", COUNTER_ROUTE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "45\n[]\n"
+
+
 def test_count_cross_check_catches_a_wrong_formula(capsys, monkeypatch):
     real = formulas.formula_for
 
@@ -744,6 +762,64 @@ def test_series_rejects_order_zero_for_builders(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+# Exit code and sha256 of stdout at orders 1, 2, 12, 60 and 120, taken from
+# the Fraction-based series before the integer representation replaced it.
+SERIES_PINS = {
+    "fubini-egf": [
+        (1, 0, "f32229497275b9917d3a9e97d5da0e0ca30ec8e6761336f2006884d5bd5da756"),
+        (2, 0, "a01e602d325f660faab3bcc076e4d07950dd52234be48a23d739fd687748609c"),
+        (12, 0, "8243fdee95b962059d27112cd6974c08e2a9e6e6eeddbfb8ae844cd265abb030"),
+        (60, 0, "141b6be1e855e50a2f72e2eb1e502af8f5091abfa86efd98d9b7a70ceee84bc1"),
+        (120, 0, "1e7f2b269af5dbc920ce891b953212d698547ff4b04d83577e1614a4ad08fa80"),
+    ],
+    "super-catalan-ogf": [
+        (1, 0, "949a856b6412af5f8ad5e089b01c2707ee1d8f55180bebdd53d49822ac10e053"),
+        (2, 0, "71dc0c01dde0f2acb268270a199b48ed5eb6a472844e3ee2fb7007d5fc61a991"),
+        (12, 0, "338ac9759ead4f95d5829f08b6a753bc4759277b2f7d71283571d774eae58d81"),
+        (60, 0, "42337b77e310f64212e956436577fad6bc7ae1fe70c98c547be6f8f446e2662a"),
+        (120, 0, "5ab47f0c3c8422e71d9b46dc2aa3a830cf792bd241afc8e622bf293e56896426"),
+    ],
+    "cycle-ogf": [
+        (1, 0, "949a856b6412af5f8ad5e089b01c2707ee1d8f55180bebdd53d49822ac10e053"),
+        (2, 0, "71dc0c01dde0f2acb268270a199b48ed5eb6a472844e3ee2fb7007d5fc61a991"),
+        (12, 0, "07719d519142130b034ab2402193c7a2d3d75db938bd270bb8ab99c01a4384e8"),
+        (60, 0, "fd99704ff3e9ce14c2d3e4aaaa9dd06749d86cd796979c4ae070a6ba7b409948"),
+        (120, 0, "4a42fa3e31b5d747ad861dac6dea84b3c0143e16d39e285200bde827fcce617e"),
+    ],
+    "td-cycle-egf": [
+        (1, 0, "949a856b6412af5f8ad5e089b01c2707ee1d8f55180bebdd53d49822ac10e053"),
+        (2, 0, "c513e0e07c22ebf54af5afc3f1c26ad772455c7836592c0f4b07d870cc7bbc84"),
+        (12, 0, "a1c5e4fb0cdfcd7ff5f234cdf6b7037df68859d43f571dd9a93e0d3e6d048fbb"),
+        (60, 0, "4626d6354bd566779be2ad17300d2b80674f1faa3bfcfc75f43a6a17e3e6dd23"),
+        (120, 0, "ab91618c5da37cde91b9cab1dc0b19c60047c393eb6dbe630104228d21076f66"),
+    ],
+    "td-path-funceq": [
+        (1, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (2, 0, "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+        (12, 0, "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+        (60, 0, "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+        (120, 0, "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+    ],
+}
+
+
+@pytest.mark.parametrize("which", sorted(SERIES_PINS))
+def test_series_output_is_pinned(capsys, which):
+    for order, code, digest in SERIES_PINS[which]:
+        argv = ["series", "--which", which, "--order", str(order), "--no-banner"]
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), order
+        assert err.count("\n") == (code != 0)
+
+
+def test_series_refuses_orders_past_the_formula_limit(capsys):
+    for which in cli.SERIES_SELECTORS:
+        argv = ["series", "--which", which, "--order", "1001", "--no-banner"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: series are evaluated up to order 1000, got 1001\n"
 
 
 # --------------------------------------------------------------------- oeis

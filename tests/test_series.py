@@ -21,7 +21,14 @@ from asmtree.series import (
     ogf_super_catalan,
 )
 
-from oracles import count_1_2_compositions
+from oracles import (
+    count_1_2_compositions,
+    series_compose,
+    series_exp,
+    series_product,
+    series_reciprocal,
+    series_sqrt,
+)
 
 
 # ------------------------------------------------------------ the arithmetic
@@ -171,6 +178,51 @@ def test_inverse_identities(series, const):
     unit_const = PowerSeries((1, *tail))
     root = unit_const.sqrt()
     assert root * root == unit_const
+
+
+# Orders 0..6 and small fractions, signs and denominators included; inner
+# polynomials run from shorter than the outer series to longer.
+_coeffs = st.lists(_coeff, min_size=1, max_size=7)
+
+
+def _values(series):
+    got = series.coefficients()
+    assert all(type(c) is Fraction for c in got)
+    return list(got)
+
+
+@given(_coeffs, _coeffs, _coeff)
+def test_arithmetic_matches_the_list_reference(a, b, k):
+    sa, sb = PowerSeries(a), PowerSeries(b)
+    n = min(len(a), len(b))
+    assert _values(sa) == a
+    assert _values(sa + sb) == [x + y for x, y in zip(a, b)]
+    assert _values(sa - sb) == [x - y for x, y in zip(a, b)]
+    assert _values(-sa) == [-x for x in a]
+    assert _values(sa * sb) == series_product(a, b)
+    assert _values(sa * k) == _values(k * sa) == [k * x for x in a]
+    assert _values(sa + k) == [a[0] + k] + a[1:]
+    assert _values(k - sa) == [k - a[0]] + [-x for x in a[1:]]
+    for order in range(len(a)):
+        assert _values(sa.truncate(order)) == a[: order + 1]
+    assert (sa == sb) is (a[:n] == b[:n])
+    # a prefix of a series equals it, whatever follows in either
+    assert sa == PowerSeries(a[:n] + b[n:]) == sa.truncate(n - 1)
+    assert (sa == k) is (a == [k] + [0] * (len(a) - 1))
+
+
+@given(_coeffs, _coeffs)
+def test_recurrences_match_the_list_reference(a, b):
+    if a[0]:
+        assert _values(PowerSeries(a).reciprocal()) == series_reciprocal(a)
+    zero_const = [Fraction(0)] + a[1:]
+    assert _values(PowerSeries(zero_const).exp()) == series_exp(zero_const)
+    unit_const = [Fraction(1)] + a[1:]
+    assert _values(PowerSeries(unit_const).sqrt()) == series_sqrt(unit_const)
+    inner = [Fraction(0)] + b[1:]
+    expected = series_compose(a, inner)
+    assert _values(PowerSeries(a).compose(inner)) == expected
+    assert _values(PowerSeries(a).compose(PowerSeries(inner))) == expected
 
 
 # ------------------------------------------------------ generating functions
