@@ -225,6 +225,7 @@ def _request_key(args: argparse.Namespace, method: str, g: Graph | None) -> str:
     """The cache key of a count request; `g` is the graph of family custom."""
     parts = [
         "count",
+        f"version={__version__}",  # a new version reads no older entry
         f"family={args.family}",
         f"rule={args.rule}",
         f"timed={int(args.timed)}",
@@ -251,21 +252,16 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "asmtree"
 
 
-def _cache_header() -> str:
-    return f"# asmtree-cache {__version__}"
-
-
 def _load_cache() -> dict[str, str]:
-    path = _cache_dir() / CACHE_FILE
     try:
-        lines = path.read_text().splitlines()
+        # A byte that is not UTF-8 damages its line only, not the load.
+        text = (_cache_dir() / CACHE_FILE).read_text(errors="replace")
     except OSError:
         return {}
-    # A version change invalidates the whole file.
-    if not lines or lines[0] != _cache_header():
-        return {}
     entries = {}
-    for line in lines[1:]:
+    # Text after the last newline is a store cut short and is never served;
+    # a key stored twice keeps its last value.
+    for line in text.split("\n")[:-1]:
         key, tab, value = line.partition("\t")
         # A count is a decimal integer; any other line is damage and is skipped.
         if tab and value.isascii() and value.isdigit():
@@ -273,25 +269,22 @@ def _load_cache() -> dict[str, str]:
     return entries
 
 
-def _store_cache(entries: dict[str, str]) -> None:
-    import tempfile
-
+def _store_cache(key: str, value: str) -> None:
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / CACHE_FILE
-    body = "\n".join(
-        [_cache_header()] + [f"{k}\t{v}" for k, v in sorted(entries.items())]
-    )
-    # Each writer fills a temporary file of its own and renames it over the
-    # cache in one step, so concurrent writers never see a partial file.
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=CACHE_FILE + ".", suffix=".tmp")
+    line = f"{key}\t{value}\n".encode()
+    # A store is one line in one unbuffered write to a file opened with
+    # O_APPEND. On Linux each such write to a local file lands whole at the
+    # end, so concurrent writers lose no entry and never interleave within a
+    # line. Counts reach about 5,000 digits, so a line stays a few KiB.
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(body + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        os.unlink(tmp)
-        raise
+        written = os.write(fd, line)
+    finally:
+        os.close(fd)
+    if written != len(line):
+        raise OSError(f"short write to {path}: {written} of {len(line)} bytes")
 
 
 def _no_closed_form(args: argparse.Namespace, hint: str = "") -> ValueError:
@@ -345,13 +338,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
         print("error: formula and counter disagree", file=sys.stderr)
         return 1
 
-    value = formula_value if formula_value is not None else oracle_value
+    value = str(formula_value if formula_value is not None else oracle_value)
     print(value)
     if not args.no_cache:
-        entries = _load_cache()
-        entries[key] = str(value)
         try:
-            _store_cache(entries)
+            _store_cache(key, value)
         except OSError as exc:
             print(f"warning: count not cached: {exc}", file=sys.stderr)
     return 0
@@ -362,9 +353,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.n_min < 1:
         raise ValueError("--n-min must be at least 1")
+    # Capped with or without a closed form: even a blank row costs memory.
+    if args.n_max > FORMULA_LIMIT:
+        raise ValueError(f"--n-max must be at most {FORMULA_LIMIT}, got {args.n_max}")
     entry = formulas.formula_for(args.family, args.rule, args.timed)
-    if entry is not None:
-        _check_formula_n(args.n_max)
     from . import assembly, graph
 
     build, min_n = getattr(graph, args.family), _SEQUENCES[args.family]

@@ -12,6 +12,7 @@ set). Graphs never change after construction.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -44,6 +45,8 @@ class Graph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        # n is checked before `edges` is read, so a builder that hands over a
+        # generator allocates nothing for a graph that is refused.
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         canonical = set()
@@ -130,14 +133,14 @@ def star(total: int) -> Graph:
     """Star on `total` vertices: center 1 joined to leaves 2..total."""
     if total < 2:
         raise ValueError("a star needs at least 2 vertices")
-    return Graph(total, [(1, v) for v in range(2, total + 1)])
+    return Graph(total, ((1, v) for v in range(2, total + 1)))
 
 
 def path(n: int) -> Graph:
     """Path 1 - 2 - ... - n."""
     if n < 1:
         raise ValueError("a path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def cycle(n: int) -> Graph:
@@ -146,14 +149,14 @@ def cycle(n: int) -> Graph:
     not graphs."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return Graph(n, chain(((i, i + 1) for i in range(1, n)), [(1, n)]))
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
-    return Graph(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)])
+    return Graph(n, ((u, v) for u in range(1, n) for v in range(u + 1, n + 1)))
 
 
 def caterpillar(spine: int, legs: Iterable[int]) -> Graph:
@@ -170,13 +173,16 @@ def caterpillar(spine: int, legs: Iterable[int]) -> Graph:
         raise ValueError(f"need one leg count per spine vertex, got {len(legs)} for spine {spine}")
     if any(c < 0 for c in legs):
         raise ValueError("leg counts must be nonnegative")
-    edges = [(i, i + 1) for i in range(1, spine)]
-    nxt = spine + 1
-    for i, count in enumerate(legs, start=1):
-        for _ in range(count):
-            edges.append((i, nxt))
-            nxt += 1
-    return Graph(spine + sum(legs), edges)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        yield from ((i, i + 1) for i in range(1, spine))
+        nxt = spine + 1
+        for i, count in enumerate(legs, start=1):
+            for _ in range(count):
+                yield i, nxt
+                nxt += 1
+
+    return Graph(spine + sum(legs), edges())
 
 
 def graph_to_json(g: Graph) -> str:

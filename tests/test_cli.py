@@ -385,6 +385,9 @@ def count_star(capsys, *extra):
     )
 
 
+STAR_KEY = "count version=0.1.0 family=star rule=connected timed=0 method=formula n=5"
+
+
 def test_cache_file_layout(capsys, isolated_env):
     count_star(capsys)
     run_cli(
@@ -393,12 +396,12 @@ def test_cache_file_layout(capsys, isolated_env):
         "--no-banner",
     )
     cache = isolated_env / "cache" / "counts.txt"
-    lines = cache.read_text().splitlines()
-    assert lines[0] == "# asmtree-cache 0.1.0"
-    keys = [line.split("\t")[0] for line in lines[1:]]
-    assert keys == sorted(keys)
-    assert "count family=star rule=connected timed=0 method=formula n=5\t75" in lines
-    assert not cache.with_name("counts.txt.tmp").exists()
+    # one line per store, in store order, each key naming the version
+    assert cache.read_text().splitlines() == [
+        f"{STAR_KEY}\t75",
+        "count version=0.1.0 family=path rule=connected timed=0 method=formula n=4\t11",
+    ]
+    assert [p.name for p in cache.parent.iterdir()] == ["counts.txt"]
 
 
 def test_cache_is_read_back(capsys, isolated_env):
@@ -411,23 +414,36 @@ def test_cache_is_read_back(capsys, isolated_env):
 
 
 def test_stale_cache_version_is_ignored(capsys, isolated_env):
-    count_star(capsys)
     cache = isolated_env / "cache" / "counts.txt"
-    body = cache.read_text().replace("\t75", "\t123456")
-    cache.write_text(body.replace("asmtree-cache 0.1.0", "asmtree-cache 0.0.9"))
+    cache.parent.mkdir()
+    stale = STAR_KEY.replace("version=0.1.0", "version=0.0.9") + "\t123456"
+    cache.write_text(stale + "\n")
     assert count_star(capsys)[1] == "75\n"
-    assert cache.read_text().splitlines()[0] == "# asmtree-cache 0.1.0"
+    assert cache.read_text().splitlines() == [stale, f"{STAR_KEY}\t75"]
 
 
 def test_cache_skips_values_that_are_not_counts(capsys, isolated_env):
     cache = isolated_env / "cache" / "counts.txt"
     cache.parent.mkdir()
-    cache.write_text(
-        "# asmtree-cache 0.1.0\n"
-        "count family=star rule=connected timed=0 method=formula n=5\tnot-a-number\n"
-    )
+    cache.write_bytes(f"{STAR_KEY}\tnot-a-number\n{STAR_KEY}\t\xff7\n".encode("latin-1"))
     assert count_star(capsys) == (0, "75\n", "")
-    assert "\t75" in cache.read_text()
+    assert cache.read_bytes().splitlines()[-1] == f"{STAR_KEY}\t75".encode()
+
+
+def test_cache_serves_no_line_cut_short(capsys, isolated_env):
+    # a store cut short leaves a last line with no newline, here a prefix
+    # of the digits of 75
+    cache = isolated_env / "cache" / "counts.txt"
+    cache.parent.mkdir()
+    cache.write_text(f"{STAR_KEY}\t7")
+    assert count_star(capsys) == (0, "75\n", "")
+
+
+def test_cache_keeps_the_last_value_stored(capsys, isolated_env):
+    cache = isolated_env / "cache" / "counts.txt"
+    cache.parent.mkdir()
+    cache.write_text(f"{STAR_KEY}\t75\n{STAR_KEY}\t123456\n")
+    assert count_star(capsys) == (0, "123456\n", "")
 
 
 def test_failed_cache_store_is_only_a_warning(capsys, isolated_env):
@@ -441,30 +457,60 @@ STORE_MANY = """
 import sys
 from asmtree import cli
 for i in range(150):
-    entries = cli._load_cache()
-    entries[f"count writer={sys.argv[1]} n={i}"] = str(i)
-    cli._store_cache(entries)
+    cli._store_cache(f"count writer={sys.argv[1]} n={i}", str(i))
 """
 
 
-def test_concurrent_cache_writers(isolated_env):
+def start_writers(script, *argvs):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    writers = [
+    return [
         subprocess.Popen(
-            [sys.executable, "-c", STORE_MANY, name],
+            [sys.executable, "-c", script, *argv],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        for name in ("a", "b")
+        for argv in argvs
     ]
-    for proc in writers:
+
+
+def test_concurrent_cache_writers(isolated_env):
+    for proc in start_writers(STORE_MANY, ["a"], ["b"]):
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, "")
     lines = (isolated_env / "cache" / "counts.txt").read_text().splitlines()
-    assert lines[0] == "# asmtree-cache 0.1.0"
     assert len(lines) > 1
-    for line in lines[1:]:
+    for line in lines:
         key, value = line.split("\t")
         assert key.startswith("count writer=") and int(value) >= 0
+    assert [p.name for p in (isolated_env / "cache").iterdir()] == ["counts.txt"]
+
+
+COUNT_MANY = """
+import sys
+from asmtree import cli
+family, first = sys.argv[1], int(sys.argv[2])
+for n in range(first, first + 200):
+    cli.main(["count", "--family", family, "--rule", "connected", "--n", str(n), "--no-banner"])
+"""
+
+
+def test_concurrent_counts_lose_no_cache_entry(isolated_env):
+    # Three processes each store 200 distinct counts in one cache at once;
+    # every entry must survive, with its value.
+    starts = {"path": 1, "star": 2, "cycle": 3}
+    writers = start_writers(COUNT_MANY, *([f, str(n)] for f, n in starts.items()))
+    expected = {}
+    for (family, first), proc in zip(starts.items(), writers):
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+        fn = formulas.formula_for(family, "connected", False).fn
+        values = [str(fn(n)) for n in range(first, first + 200)]
+        assert out.splitlines() == values
+        for n, value in zip(range(first, first + 200), values):
+            key = f"count version=0.1.0 family={family} rule=connected timed=0 method=formula n={n}"
+            expected[key] = value
+    entries = cli._load_cache()
+    assert len(entries) == 600
+    assert entries == expected
     assert [p.name for p in (isolated_env / "cache").iterdir()] == ["counts.txt"]
 
 
@@ -597,15 +643,19 @@ def test_table_json(capsys):
 
 
 def test_table_rejects_bad_ranges(capsys):
-    for argv in (
-        ["table", "--family", "path", "--rule", "connected",
-         "--n-min", "0", "--n-max", "3"],
-        ["table", "--family", "path", "--rule", "connected",
-         "--n-min", "5", "--n-max", "3"],
+    for argv, word in (
+        (["table", "--family", "path", "--rule", "connected",
+          "--n-min", "0", "--n-max", "3"], "--n-min"),
+        (["table", "--family", "path", "--rule", "connected",
+          "--n-min", "5", "--n-max", "3"], "--n-min"),
+        # no closed form, yet capped as a table with one is
+        (["table", "--family", "star", "--rule", "edge",
+          "--n-min", "1", "--n-max", "1001"], "--n-max"),
     ):
-        code, _, err = run_cli(capsys, *argv, "--no-banner")
-        assert code == 2
-        assert err.startswith("error:")
+        code, out, err = run_cli(capsys, *argv, "--no-banner")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and word in err
+        assert err.count("\n") == 1
 
 
 # -------------------------------------------------------------------- trees

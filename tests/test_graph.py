@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -109,6 +110,23 @@ def test_caterpillar():
         caterpillar(2, [1])
     with pytest.raises(ValueError):
         caterpillar(2, [1, -1])
+
+
+def test_builders_refuse_a_large_n_before_listing_edges():
+    # Graph checks n before it reads the edges, which every builder hands
+    # over unbuilt; a list of a million edges takes tens of MiB.
+    tracemalloc.start()
+    try:
+        for build, arg in (
+            (star, 10**6), (path, 10**6), (cycle, 10**6), (complete, 2000),
+            (lambda n: caterpillar(1, [n]), 10**6),
+        ):
+            with pytest.raises(ValueError, match=r"1\.\.64"):
+                build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_adjacency_is_symmetric_and_loop_free():
