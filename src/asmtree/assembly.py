@@ -299,19 +299,21 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     partitions into connected blocks, the product of the block counts,
     where under bound 2 the rest beside the block holding the lowest
     vertex must be one tree. A subset that falls apart in g counts as the
-    product of its components, so only connected subsets pay for the loop
-    over blocks. A subset that induces a clique counts by its size alone
-    (see _clique_trees), so K_n and every NONE count take no subset
-    steps. Agrees with len(list(enumerate_trees(...))) wherever
-    enumeration is feasible and goes considerably further (default cap
-    COUNTING_LIMIT).
+    product of its components, so only connected subsets have first
+    blocks to sum over, and those blocks are grown as connected sets, so
+    none is built only to be thrown away. A subset that induces a clique
+    counts by its size alone (see _clique_trees), so K_n and every NONE
+    count take no subset steps. Agrees with len(list(enumerate_trees(...)))
+    wherever enumeration is feasible and goes considerably further
+    (default cap COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     # Each vertex's bit mapped to its closed neighbourhood, for the clique test.
     closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
     several = int(most > 2)
     memo = dict.fromkeys(closed, 1)  # a singleton has one tree
-    return _forests(g.full_mask(), several, g, closed, memo, {}) >> several
+    memo[0] = 0  # so that a set is never its own first block
+    return _forests(g.full_mask(), several, g, closed, memo) >> several
 
 
 def _is_clique(mask: int, closed: dict[int, int]) -> bool:
@@ -327,24 +329,20 @@ def _is_clique(mask: int, closed: dict[int, int]) -> bool:
 
 
 def _forests(
-    mask: int,
-    several: int,
-    g: Graph,
-    closed: dict[int, int],
-    memo: dict[int, int],
-    alone: dict[int, bool],
+    mask: int, several: int, g: Graph, closed: dict[int, int], memo: dict[int, int]
 ) -> int:
     """F(S): the forests of admissible trees on the masked set S, summing
     the product of the trees' counts T, for an S that is not in `memo`.
     The merge bound `most` is 2 or at least |S|, and several =
     int(most > 2). The caller looks `memo` up first, so a hit costs no
-    call; a singleton has T = F = 1, which `memo` must hold from the start.
+    call. `memo` must hold from the start 1 for each singleton, which has
+    T = F = 1, and 0 for the empty set, so that S is not its own block.
 
     A forest's trees sit on connected blocks, so a block never crosses
     the components of the graph S induces. When S falls apart, with no
     bound F(S) is the product of F over the component of S's lowest
     vertex and F over the rest; under bound 2 the forest must be one
-    tree, and F(S) = 0.
+    tree, and F(S) = 0. One walk (component_mask) per S tells which.
 
     On a connected S, a forest's first tree is on a block B holding S's
     lowest vertex. With no bound the rest S - B may hold several trees;
@@ -352,10 +350,26 @@ def _forests(
     sum, over connected B != S, of T(B) F(S - B): these are the trees
     rooted at S, and with no bound F(S) also counts S as one block. So
     F(S) = R(S) << several, and T(S) = F(S) >> several for S of two or
-    more vertices. Under bound 2 a block whose rest counts 0 is skipped.
-    These binary trees are the EDGE trees: an edge joins two connected
-    sides exactly when their union is connected. Whether B is connected
-    is read off the same walk (see component_mask) and kept in `alone`.
+    more vertices. The loop sums F(B) F(S - B) instead, which weighs
+    every block of two or more vertices by F(B) = T(B) << several and
+    the lowest vertex alone by 1; with no bound, adding F(S - low) once
+    more gives 2 R(S) = F(S). A block whose rest counts 0 is skipped:
+    under bound 2 a rest that falls apart, and B = S itself, whose rest
+    is the empty set. These binary trees are the EDGE trees: an edge
+    joins two connected sides exactly when their union is connected.
+
+    The blocks B are grown as connected sets from states (block, reach,
+    allowed) on an explicit stack: reach is the union of the block's
+    neighbourhoods, and allowed the vertices of S the block may still
+    take. A state leaves the lowest vertex of its frontier reach &
+    allowed out of this block and of every later one, and pushes the
+    state that takes it, as _groups does, so each connected B comes once.
+    Once the frontier is all of allowed, or empty, every block | sub with
+    sub a submask of the frontier is connected: the state steps those
+    submasks with no test and grows no further. So a sparse S grows only
+    its connected blocks, while on a star's centre or a dense S the
+    frontier covers the rest after a vertex or two and the submasks are
+    stepped as they come, with no block tested for connectivity.
 
     A clique S of k vertices returns T(K_k) << several at once, from
     _clique_trees. The clique test looks at S's lowest vertex first,
@@ -374,35 +388,41 @@ def _forests(
         if several:
             total = memo.get(part)
             if total is None:
-                total = _forests(part, several, g, closed, memo, alone)
+                total = _forests(part, several, g, closed, memo)
             others = memo.get(mask ^ part)
             if others is None:
-                others = _forests(mask ^ part, several, g, closed, memo, alone)
+                others = _forests(mask ^ part, several, g, closed, memo)
             total *= others
         memo[mask] = total
         return total
-    total = memo.get(rest)  # the lowest vertex alone
-    if total is None:
-        total = _forests(rest, several, g, closed, memo, alone)
-    sub = rest & -rest
-    # The other blocks holding the lowest vertex, bar S itself, stepping
-    # through the nonempty proper submasks of rest as in _submasks.
-    while sub != rest:
-        first = low | sub
-        ok = alone.get(first)
-        if ok is None:
-            ok = alone[first] = component_mask(g, first) == first
-        if ok:
+    adj = g._adj
+    total = 0
+    stack = [(low, adj[low.bit_length()], rest)]
+    while stack:
+        block, reach, allowed = stack.pop()
+        frontier = reach & allowed
+        while frontier and frontier != allowed:
+            v = frontier & -frontier
+            frontier ^= v
+            allowed ^= v
+            stack.append((block | v, reach | adj[v.bit_length()], allowed))
+        # Every block | sub with sub a submask of the frontier is connected.
+        sub = 0
+        while True:
+            first = block | sub
             others = memo.get(mask ^ first)
             if others is None:
-                others = _forests(mask ^ first, several, g, closed, memo, alone)
+                others = _forests(mask ^ first, several, g, closed, memo)
             if others:
                 trees = memo.get(first)
                 if trees is None:
-                    trees = _forests(first, several, g, closed, memo, alone)
-                total += (trees >> several) * others
-        sub = (sub - rest) & rest
-    total <<= several
+                    trees = _forests(first, several, g, closed, memo)
+                total += trees * others
+            if sub == frontier:
+                break
+            sub = (sub - frontier) & frontier
+    if several:
+        total += memo[rest]  # the lowest vertex alone, once more
     memo[mask] = total
     return total
 

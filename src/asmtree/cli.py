@@ -278,8 +278,14 @@ def _store_cache(key: str, value: str) -> None:
     # O_APPEND. On Linux each such write to a local file lands whole at the
     # end, so concurrent writers lose no entry and never interleave within a
     # line. Counts reach about 5,000 digits, so a line stays a few KiB.
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        # A store cut short leaves a last line with no newline; start a new
+        # line, or this one would join it and be skipped with it. A stray
+        # empty line, if another writer did the same, is skipped as damage.
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
         written = os.write(fd, line)
     finally:
         os.close(fd)

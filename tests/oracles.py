@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 
@@ -223,12 +224,6 @@ def min_leaf(tree) -> int:
     return min(min_leaf(c) for c in tree[1:])
 
 
-def leaves_of(tree) -> frozenset[int]:
-    if tree[0] == "leaf":
-        return frozenset((tree[1],))
-    return frozenset().union(*(leaves_of(c) for c in tree[1:]))
-
-
 def walk(tree):
     yield tree
     if tree[0] == "node":
@@ -253,20 +248,36 @@ def all_assembly_trees(vertices):
 
 def rule_ok(tree, edges, rule: str) -> bool:
     """Does the tree satisfy the gluing rule on the graph given by `edges`?"""
+    return _leaves_if_ok(tree, frozenset(edges), rule) is not None
+
+
+@lru_cache(maxsize=None)
+def _induced_connected_once(subset: frozenset, edges: frozenset) -> bool:
+    """induced_connected, run once per vertex set and edge set: the trees
+    listed on one graph share most of their nodes' vertex sets."""
+    return induced_connected(subset, edges)
+
+
+def _leaves_if_ok(tree, edges: frozenset, rule: str):
+    """The tree's leaf set if every node satisfies the rule, else None."""
     if tree[0] == "leaf":
-        return True
-    kids = tree[1:]
-    if rule == "connected" and not induced_connected(leaves_of(tree), edges):
-        return False
+        return frozenset((tree[1],))
+    parts = []
+    for kid in tree[1:]:
+        part = _leaves_if_ok(kid, edges, rule)
+        if part is None:
+            return None
+        parts.append(part)
+    leaves = frozenset().union(*parts)
+    if rule == "connected" and not _induced_connected_once(leaves, edges):
+        return None
     if rule == "edge":
-        if len(kids) != 2:
-            return False
-        a, b = leaves_of(kids[0]), leaves_of(kids[1])
-        if not any(
-            (u in a and w in b) or (u in b and w in a) for u, w in edges
-        ):
-            return False
-    return all(rule_ok(k, edges, rule) for k in kids)
+        if len(parts) != 2:
+            return None
+        a, b = parts
+        if not any((u in a and w in b) or (u in b and w in a) for u, w in edges):
+            return None
+    return leaves
 
 
 def count_trees_by_listing(n: int, edges, rule: str) -> int:

@@ -35,13 +35,24 @@ from asmtree.assembly import (
 )
 from asmtree.combinat import binomial, stirling2
 from asmtree.formulas import connected_complete, td_connected_complete, td_edge_complete
-from asmtree.graph import Graph, complete, connected_mask, cycle, path, star, vertex_mask
+from asmtree.graph import (
+    Graph,
+    caterpillar,
+    complete,
+    component_mask,
+    connected_mask,
+    cycle,
+    path,
+    star,
+    vertex_mask,
+)
 
 from oracles import (
     all_assembly_trees,
     count_timed_by_listing,
     count_timings_by_listing,
     count_trees_by_listing,
+    induced_connected,
     rule_ok,
     walk,
 )
@@ -972,6 +983,68 @@ def test_plain_counts_on_cliques_test_no_subsets(monkeypatch):
         assert entered == [(1 << 12) - 1]  # no subset below the full set
 
 
+def test_plain_counts_walk_each_set_at_most_once(monkeypatch):
+    # First blocks are grown connected, so the only walk left is the one
+    # that tells whether a set falls apart: at most one per entry into
+    # `_forests`, and never one per block.
+    walks, entered = [], []
+
+    def walk(g, mask):
+        walks.append(mask)
+        return component_mask(g, mask)
+
+    def forests(mask, *args):
+        entered.append(mask)
+        return recurse(mask, *args)
+
+    recurse = assembly._forests
+    monkeypatch.setattr(assembly, "component_mask", walk)
+    monkeypatch.setattr(assembly, "_forests", forests)
+    graphs = {"P12": path(12), "C12": cycle(12), "cat": caterpillar(4, [2, 1, 3, 2])}
+    work = {}
+    for name, g in graphs.items():
+        for rule in ("connected", "edge"):
+            walks.clear()
+            entered.clear()
+            count_trees(g, rule)
+            assert len(walks) <= len(entered)
+            work[name, rule] = (len(walks), len(entered))
+    # (walks, entries); a path's sets are its 66 intervals of two or more
+    # vertices, 11 of which are edges, which the clique step answers.
+    assert work == {
+        ("P12", "connected"): (55, 66),
+        ("P12", "edge"): (55, 66),
+        ("C12", "connected"): (604, 616),
+        ("C12", "edge"): (604, 616),
+        ("cat", "connected"): (1468, 1479),
+        ("cat", "edge"): (1468, 1479),
+    }
+
+
+def labelled_connected_graphs(n):
+    """Every connected graph on the vertices 1..n, one per edge set."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        edges = list(itertools.compress(pairs, keep))
+        if induced_connected(range(1, n + 1), edges):
+            yield Graph(n, edges)
+
+
+def test_census_of_small_connected_graphs():
+    # Every labelled connected graph on at most 5 vertices (OEIS A001187),
+    # under every rule: the count is the number of trees enumerated, and up
+    # to 4 vertices the number the oracle lists.
+    census = {n: list(labelled_connected_graphs(n)) for n in range(1, 6)}
+    assert [len(graphs) for graphs in census.values()] == [1, 1, 4, 38, 728]
+    for n, graphs in census.items():
+        for g in graphs:
+            for rule in RULES:
+                count = count_trees(g, rule)
+                assert count == len(list(enumerate_trees(g, rule)))
+                if n <= 4:
+                    assert count == count_trees_by_listing(n, g.edges, rule)
+
+
 def test_plain_counts_where_only_some_subsets_are_cliques():
     def less(n, gone):
         return Graph(n, [e for e in complete(n).edges if e not in gone])
@@ -1007,7 +1080,8 @@ def forests_on(g, mask, several):
     """assembly._forests on a mask of g, set up as count_trees sets it up."""
     closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
     memo = dict.fromkeys(closed, 1)
-    return memo.get(mask) or assembly._forests(mask, several, g, closed, memo, {})
+    memo[0] = 0
+    return memo.get(mask) or assembly._forests(mask, several, g, closed, memo)
 
 
 def test_forests_on_a_set_that_falls_apart_multiply_over_its_components():

@@ -437,6 +437,8 @@ def test_cache_serves_no_line_cut_short(capsys, isolated_env):
     cache.parent.mkdir()
     cache.write_text(f"{STAR_KEY}\t7")
     assert count_star(capsys) == (0, "75\n", "")
+    # the store after the cut line starts a line of its own
+    assert cli._load_cache()[STAR_KEY] == "75"
 
 
 def test_cache_keeps_the_last_value_stored(capsys, isolated_env):
