@@ -25,10 +25,10 @@ closed forms in `formulas`. They stream lazily: a vertex subset's trees are
 kept once built only when there are few of them, and a larger set is built
 again each time it is needed, so memory is bounded by that keep bound, not
 by the tree count. The counters use memoized dynamic programming
-(over vertex subsets for plain trees, over the quotient graphs that frontier
-partitions leave for timed ones) and must agree with the enumerators
-wherever both run; `validate` is a separate code path against the
-definition so it can audit either.
+(over vertex subsets for plain trees, bar a complete graph, which counts by
+its size; over the quotient graphs that frontier partitions leave for timed
+ones) and must agree with the enumerators wherever both run; `validate` is
+a separate code path against the definition so it can audit either.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import chain, count, islice, product
 from typing import Callable, Iterable, Iterator
 
 from .combinat import binomial
@@ -294,43 +294,30 @@ def _build_trees(g: Graph, most: int, mask: int, kept: dict) -> Iterator[Assembl
 def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -> int:
     """Number of assembly trees of g under the rule.
 
-    One memoized recursion over vertex subsets (see _forests) serves
-    both merge bounds: a connected subset's count sums, over its
-    partitions into connected blocks, the product of the block counts,
-    where under bound 2 the rest beside the block holding the lowest
-    vertex must be one tree. A subset that falls apart in g counts as the
-    product of its components, so only connected subsets have first
-    blocks to sum over, and those blocks are grown as connected sets, so
-    none is built only to be thrown away. A subset that induces a clique
-    counts by its size alone (see _clique_trees), so K_n and every NONE
-    count take no subset steps. Agrees with len(list(enumerate_trees(...)))
-    wherever enumeration is feasible and goes considerably further
-    (default cap COUNTING_LIMIT).
+    A complete graph counts by its size alone (see _clique_forests), so
+    K_n and every NONE count, which _prepare runs on K_n, take no subset
+    steps. Any other graph goes to one memoized recursion over vertex
+    subsets (see _forests) that serves both merge bounds: a connected
+    subset's count sums, over its partitions into connected blocks, the
+    product of the block counts, where under bound 2 the rest beside the
+    block holding the lowest vertex must be one tree. A subset that falls
+    apart in g counts as the product of its components, so only connected
+    subsets have first blocks to sum over, and those blocks are grown as
+    connected sets, so none is built only to be thrown away. Agrees with
+    len(list(enumerate_trees(...))) wherever enumeration is feasible and
+    goes considerably further (default cap COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
-    # Each vertex's bit mapped to its closed neighbourhood, for the clique test.
-    closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
     several = int(most > 2)
-    memo = dict.fromkeys(closed, 1)  # a singleton has one tree
+    n = g.n
+    if 2 * len(g.edges) == n * (n - 1):
+        return _clique_forests(n, several) >> several
+    memo = {1 << v: 1 for v in range(n)}  # a singleton has one tree
     memo[0] = 0  # so that a set is never its own first block
-    return _forests(g.full_mask(), several, g, closed, memo) >> several
+    return _forests(g.full_mask(), several, g, memo) >> several
 
 
-def _is_clique(mask: int, closed: dict[int, int]) -> bool:
-    """Does the masked set induce a complete subgraph? `closed` maps each
-    vertex's bit to its closed neighbourhood."""
-    rest = mask
-    while rest:
-        v = rest & -rest
-        if closed[v] & mask != mask:
-            return False
-        rest ^= v
-    return True
-
-
-def _forests(
-    mask: int, several: int, g: Graph, closed: dict[int, int], memo: dict[int, int]
-) -> int:
+def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
     """F(S): the forests of admissible trees on the masked set S, summing
     the product of the trees' counts T, for an S that is not in `memo`.
     The merge bound `most` is 2 or at least |S|, and several =
@@ -370,28 +357,19 @@ def _forests(
     its connected blocks, while on a star's centre or a dense S the
     frontier covers the rest after a vertex or two and the submasks are
     stepped as they come, with no block tested for connectivity.
-
-    A clique S of k vertices returns T(K_k) << several at once, from
-    _clique_trees. The clique test looks at S's lowest vertex first,
-    which is adjacent to all of S, and then at the rest of S among
-    itself, so most states of a sparse graph pay one AND.
     """
     low = mask & -mask
     rest = mask ^ low
-    if closed[low] & mask == mask and _is_clique(rest, closed):
-        k = mask.bit_count()
-        total = memo[mask] = _clique_trees(k, k if several else 2) << several
-        return total
     part = component_mask(g, mask)
     if part != mask:
         total = 0
         if several:
             total = memo.get(part)
             if total is None:
-                total = _forests(part, several, g, closed, memo)
+                total = _forests(part, several, g, memo)
             others = memo.get(mask ^ part)
             if others is None:
-                others = _forests(mask ^ part, several, g, closed, memo)
+                others = _forests(mask ^ part, several, g, memo)
             total *= others
         memo[mask] = total
         return total
@@ -412,11 +390,11 @@ def _forests(
             first = block | sub
             others = memo.get(mask ^ first)
             if others is None:
-                others = _forests(mask ^ first, several, g, closed, memo)
+                others = _forests(mask ^ first, several, g, memo)
             if others:
                 trees = memo.get(first)
                 if trees is None:
-                    trees = _forests(first, several, g, closed, memo)
+                    trees = _forests(first, several, g, memo)
                 total += trees * others
             if sub == frontier:
                 break
@@ -427,30 +405,23 @@ def _forests(
     return total
 
 
-def _clique_trees(k: int, most: int) -> int:
-    """T(K_k) under merge bound `most`: the assembly trees of a vertex set
-    of size k >= 1 that induces a clique, which depend on k alone. A node
-    of K_k has at most k children, so the bound is taken as min(most, k),
-    and counts on graphs of every size share the cached rows."""
-    return _clique_forests(k, min(most, k))[1]
-
-
 @lru_cache(maxsize=None)
-def _clique_forests(r: int, most: int) -> tuple[int, ...]:
-    """F(r, j) for j = 0..most: the partitions of r labelled clique
-    vertices into j blocks, weighted by the product of the blocks' tree
-    counts T under merge bound `most`, for r >= 1, so F(r, 0) = 0. When
-    j >= 2 the block holding the first vertex has s < r vertices, chosen
-    C(r - 1, s - 1) ways. F(r, 1) is T(r) itself: 1 for r = 1, and
-    otherwise the sum of F(r, j) over 2 <= j <= most, which needs T only
-    on fewer than r vertices."""
-    row = [0] * (most + 1)
-    for s in range(1, r):
-        ways = binomial(r - 1, s - 1) * _clique_forests(s, most)[1]
-        for j, w in enumerate(_clique_forests(r - s, most)[:most]):
-            row[j + 1] += ways * w
-    row[1] = sum(row[2:]) if r > 1 else 1
-    return tuple(row)
+def _clique_forests(k: int, several: int) -> int:
+    """F(K_k) for k >= 1 in _forests' convention: the forests on k
+    vertices that induce a clique, which depend on k alone, so T(K_k) =
+    F(K_k) >> several for k >= 2. The first block holds the first vertex
+    and s of the k vertices, chosen C(k - 1, s - 1) ways; as in _forests,
+    a block of one vertex weighs 1, the block of all k is skipped, and
+    with no bound (several = 1) the first vertex alone counts once more:
+    F(K_1) = 1 and F(K_k) = several F(K_(k-1)) + the sum over 1 <= s < k
+    of C(k - 1, s - 1) F(K_s) F(K_(k-s))."""
+    if k == 1:
+        return 1
+    total = several * _clique_forests(k - 1, several)
+    for s in range(1, k):
+        ways = binomial(k - 1, s - 1) * _clique_forests(s, several)
+        total += ways * _clique_forests(k - s, several)
+    return total
 
 
 def _internal_index(t: AssemblyTree) -> tuple[list[AssemblyTree], list[int]]:
@@ -730,16 +701,14 @@ def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
     if j < 0 or j > t.time:
         raise ValueError(f"time {j} outside 0..{t.time}")
     blocks = []
-
-    def collect(node: AssemblyTree) -> None:
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if node.time <= j:
             # Descendants are strictly earlier, hence never maximal.
             blocks.append(node.label)
         else:
-            for child in node.children:
-                collect(child)
-
-    collect(t)
+            stack.extend(node.children)
     return frozenset(blocks)
 
 
@@ -853,31 +822,32 @@ def tree_from_dict(data: object) -> AssemblyTree:
     """Inverse of tree_to_dict; malformed input raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("tree JSON must be an object")
-    timed = "time" in data
+    return _node_from_dict(data, "time" in data, 0)
 
-    def build(d: object, depth: int) -> AssemblyTree:
-        if not isinstance(d, dict):
-            raise ValueError("every tree node must be an object")
-        # Each internal node on a path down from the root has a child off
-        # the path, so a tree of depth d has at least d + 1 leaves.
-        if depth >= MAX_VERTICES:
-            raise ValueError(f"tree nests deeper than {MAX_VERTICES - 1} levels")
-        raw_label = d.get("label")
-        # Exact types, not isinstance: JSON true and false load as bools,
-        # which are ints to isinstance.
-        if not isinstance(raw_label, list) or not {*map(type, raw_label)} <= {int}:
-            raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
-        if ("time" in d) != timed:
-            raise ValueError("mixed timed and untimed nodes")
-        raw_children = d.get("children", [])
-        if not isinstance(raw_children, list):
-            raise ValueError('"children" must be a list')
-        kids = tuple([build(c, depth + 1) for c in raw_children])
-        if timed and type(d["time"]) is not int:
-            raise ValueError(f'"time" must be an int, got {d["time"]!r}')
-        return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
-    return build(data, 0)
+def _node_from_dict(d: object, timed: bool, depth: int) -> AssemblyTree:
+    """tree_from_dict on a node at the given depth of a tree that is timed
+    or not, as its root says."""
+    if not isinstance(d, dict):
+        raise ValueError("every tree node must be an object")
+    # Each internal node on a path down from the root has a child off
+    # the path, so a tree of depth d has at least d + 1 leaves.
+    if depth >= MAX_VERTICES:
+        raise ValueError(f"tree nests deeper than {MAX_VERTICES - 1} levels")
+    raw_label = d.get("label")
+    # Exact types, not isinstance: JSON true and false load as bools,
+    # which are ints to isinstance.
+    if not isinstance(raw_label, list) or not {*map(type, raw_label)} <= {int}:
+        raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
+    if ("time" in d) != timed:
+        raise ValueError("mixed timed and untimed nodes")
+    raw_children = d.get("children", [])
+    if not isinstance(raw_children, list):
+        raise ValueError('"children" must be a list')
+    kids = tuple([_node_from_dict(c, timed, depth + 1) for c in raw_children])
+    if timed and type(d["time"]) is not int:
+        raise ValueError(f'"time" must be an int, got {d["time"]!r}')
+    return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
 
 
 def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
@@ -915,19 +885,20 @@ def parse_tree(text: str) -> AssemblyTree:
 
 def _to_dot(t: AssemblyTree) -> str:
     lines = ["digraph assembly_tree {"]
-    counter = iter(range(10**9))
-
-    def emit(node: AssemblyTree) -> int:
-        me = next(counter)
-        tag = _set_str(node.label)
-        if node.time is not None:
-            tag += f"@{node.time}"
-        lines.append(f'  n{me} [label="{tag}"];')
-        for child in node.children:
-            cid = emit(child)
-            lines.append(f"  n{me} -> n{cid};")
-        return me
-
-    emit(t)
+    _dot_lines(t, lines, count())
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_lines(node: AssemblyTree, lines: list[str], numbers: Iterator[int]) -> int:
+    """Append the DOT lines of node's subtree, numbering its nodes in
+    preorder from `numbers`, and return node's number."""
+    me = next(numbers)
+    tag = _set_str(node.label)
+    if node.time is not None:
+        tag += f"@{node.time}"
+    lines.append(f'  n{me} [label="{tag}"];')
+    for child in node.children:
+        cid = _dot_lines(child, lines, numbers)
+        lines.append(f"  n{me} -> n{cid};")
+    return me

@@ -946,22 +946,36 @@ def test_plain_edge_counts_at_the_counting_cap():
 
 
 def test_clique_counts_at_the_counting_cap():
-    # A clique counts by its size, so K16 and every `none` count at the cap
-    # take no subset steps.
+    # A complete graph counts by its size, so K16 and every `none` count at
+    # the cap take no subset steps, and so does K64 at the vertex cap.
     for rule in ("none", "connected"):
         assert count_trees(complete(16), rule) == connected_complete(16)
+        assert count_trees(complete(64), rule, limit=64) == connected_complete(64)
     assert count_trees(path(16), "none") == connected_complete(16)
+    assert count_trees(complete(64), "edge", limit=64) == math.prod(range(1, 126, 2))
 
 
 def test_clique_size_table():
-    for k in range(1, 41):
-        assert assembly._clique_trees(k, k) == connected_complete(k)
-        assert assembly._clique_trees(k, 2) == math.prod(range(1, 2 * k - 2, 2))
+    # F(K_k) in _forests' convention: F = T on one vertex, and with no
+    # bound F = 2 T on two or more.
+    assert assembly._clique_forests(1, 0) == assembly._clique_forests(1, 1) == 1
+    for k in range(2, 41):
+        assert assembly._clique_forests(k, 1) == 2 * connected_complete(k)
+        assert assembly._clique_forests(k, 0) == math.prod(range(1, 2 * k - 2, 2))
+
+
+def test_clique_size_recursion_agrees_with_the_subset_dp():
+    # _forests called directly, past count_trees' answer for a complete graph.
+    for n in range(1, 11):
+        for several in (0, 1):
+            assert forests_on(complete(n), (1 << n) - 1, several) == (
+                assembly._clique_forests(n, several)
+            )
 
 
 def test_plain_counts_on_cliques_test_no_subsets(monkeypatch):
-    # The subset DP recurses through the module's `_forests`, and on K_n
-    # the clique step answers its first call, so it is entered once.
+    # The subset DP recurses through the module's `_forests`, and K_n is
+    # answered by its size before the DP, so it is never entered.
     calls, entered = [], []
 
     def counted(g, mask):
@@ -980,13 +994,13 @@ def test_plain_counts_on_cliques_test_no_subsets(monkeypatch):
         entered.clear()
         count_trees(complete(12), rule)
         assert calls == [(1 << 12) - 1]  # _prepare's check alone
-        assert entered == [(1 << 12) - 1]  # no subset below the full set
+        assert entered == []
 
 
 def test_plain_counts_walk_each_set_at_most_once(monkeypatch):
     # First blocks are grown connected, so the only walk left is the one
-    # that tells whether a set falls apart: at most one per entry into
-    # `_forests`, and never one per block.
+    # that tells whether a set falls apart: one per entry into `_forests`,
+    # and never one per block.
     walks, entered = [], []
 
     def walk(g, mask):
@@ -1007,17 +1021,17 @@ def test_plain_counts_walk_each_set_at_most_once(monkeypatch):
             walks.clear()
             entered.clear()
             count_trees(g, rule)
-            assert len(walks) <= len(entered)
+            assert len(walks) == len(entered)
             work[name, rule] = (len(walks), len(entered))
     # (walks, entries); a path's sets are its 66 intervals of two or more
-    # vertices, 11 of which are edges, which the clique step answers.
+    # vertices.
     assert work == {
-        ("P12", "connected"): (55, 66),
-        ("P12", "edge"): (55, 66),
-        ("C12", "connected"): (604, 616),
-        ("C12", "edge"): (604, 616),
-        ("cat", "connected"): (1468, 1479),
-        ("cat", "edge"): (1468, 1479),
+        ("P12", "connected"): (66, 66),
+        ("P12", "edge"): (66, 66),
+        ("C12", "connected"): (616, 616),
+        ("C12", "edge"): (616, 616),
+        ("cat", "connected"): (1479, 1479),
+        ("cat", "edge"): (1479, 1479),
     }
 
 
@@ -1078,10 +1092,9 @@ def test_plain_counts_where_only_some_subsets_are_cliques():
 
 def forests_on(g, mask, several):
     """assembly._forests on a mask of g, set up as count_trees sets it up."""
-    closed = {1 << (v - 1): g._adj[v] | 1 << (v - 1) for v in range(1, g.n + 1)}
-    memo = dict.fromkeys(closed, 1)
+    memo = {1 << v: 1 for v in range(g.n)}
     memo[0] = 0
-    return memo.get(mask) or assembly._forests(mask, several, g, closed, memo)
+    return memo.get(mask) or assembly._forests(mask, several, g, memo)
 
 
 def test_forests_on_a_set_that_falls_apart_multiply_over_its_components():
@@ -1143,6 +1156,8 @@ def test_plain_counts_at_the_counting_cap_are_pinned():
 def test_counters_and_enumerators_leave_no_garbage_cycles():
     # A count's memo is freed when the count returns, not when the
     # collector next runs: no call leaves a reference cycle behind.
+    timed = next(enumerate_timed_trees(cycle(5), "connected"))
+    text = serialize_tree(timed)
     calls = [
         lambda: count_trees(cycle(10), "connected"),
         lambda: count_trees(cycle(10), "edge"),
@@ -1153,6 +1168,9 @@ def test_counters_and_enumerators_leave_no_garbage_cycles():
         lambda: next(enumerate_trees(complete(7), "connected")),
         lambda: list(enumerate_timed_trees(cycle(5), "connected")),
         lambda: next(enumerate_timed_trees(complete(6), "connected")),
+        lambda: parse_tree(text),
+        lambda: serialize_tree(timed, "dot"),
+        lambda: frontier_partition(timed, 1),
     ]
     gc.collect()
     gc.disable()
@@ -1316,7 +1334,7 @@ def connected_graphs(draw):
     return n, sorted(edges | set(extra))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, print_blob=True)
 @given(connected_graphs())
 def test_random_graphs_counts_enumeration_and_oracles_agree(case):
     n, edges = case

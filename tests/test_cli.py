@@ -195,7 +195,7 @@ def test_counts_print_in_full_past_the_int_string_cap(capsys, monkeypatch, tmp_p
 
 
 def test_count_cliques_and_none_at_the_counting_cap(capsys):
-    # No closed form answers these; the subset DP counts a clique by its size.
+    # No closed form answers these; count_trees counts K_n by its size.
     cases = [
         (["--family", "complete", "--rule", "edge"], math.prod(range(1, 30, 2))),  # 29!!
         (["--family", "star", "--rule", "none"], formulas.connected_complete(16)),
