@@ -24,11 +24,11 @@ The enumerators are deliberately direct and serve as ground truth for the
 closed forms in `formulas`. They stream lazily: a vertex subset's trees are
 kept once built only when there are few of them, and a larger set is built
 again each time it is needed, so memory is bounded by that keep bound, not
-by the tree count. The counters use memoized dynamic programming
-(over vertex subsets for plain trees, bar a complete graph, which counts by
-its size; over the quotient graphs that frontier partitions leave for timed
-ones) and must agree with the enumerators wherever both run; `validate` is
-a separate code path against the definition so it can audit either.
+by the tree count. The counters share one memoized recursion over vertex
+subsets, with one count per set for plain trees and one per number of
+time steps for timed ones, bar a complete graph, which counts by its size.
+They must agree with the enumerators wherever both run; `validate` is a
+separate code path against the definition so it can audit either.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, count, islice, product
+from itertools import accumulate, chain, count, islice, product
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .combinat import binomial
@@ -350,13 +351,13 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
     neighbourhoods, and allowed the vertices of S the block may still
     take. A state leaves the lowest vertex of its frontier reach &
     allowed out of this block and of every later one, and pushes the
-    state that takes it, as _groups does, so each connected B comes once.
-    Once the frontier is all of allowed, or empty, every block | sub with
-    sub a submask of the frontier is connected: the state steps those
-    submasks with no test and grows no further. So a sparse S grows only
-    its connected blocks, while on a star's centre or a dense S the
-    frontier covers the rest after a vertex or two and the submasks are
-    stepped as they come, with no block tested for connectivity.
+    state that takes it, so each connected B comes once. Once the
+    frontier is all of allowed, or empty, every block | sub with sub a
+    submask of the frontier is connected: the state steps those submasks
+    with no test and grows no further. So a sparse S grows only its
+    connected blocks, while on a star's centre or a dense S the frontier
+    covers the rest after a vertex or two and the submasks are stepped as
+    they come, with no block tested for connectivity.
     """
     low = mask & -mask
     rest = mask ^ low
@@ -532,165 +533,121 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     two blocks joined by an edge). It must, and in the tests does, agree
     with summing count_level_assignments over enumerate_trees.
 
-    Every block of such a chain is connected, so whether a group may
-    merge can be read off the quotient graph G/pi: one vertex per block,
-    two joined when an edge of G joins the blocks. The number of ways to
-    finish from pi thus depends only on that quotient, and the count is a
-    memoized recursion over quotients, from G itself down to the
-    one-vertex quotient, which counts 1. A state numbers the blocks by
-    lowest vertex and lists, for each block, the mask of its
-    lower-numbered neighbours. The memo is keyed on that labelled
-    quotient, so G is first renumbered in depth-first preorder (see
-    _depth_first): a count does not depend on vertex labels, and the
-    order makes isomorphic quotients of relabelled graphs meet in the
-    memo. The merges out of a state are generated already admissible
-    (see _step_total), except that a complete quotient steps at once to
-    the complete quotients below it (see _complete_step). Default cap
+    Chains are counted through multichains, which may also idle: E_m(V)
+    counts the m-step multichains from the singletons to the one block V,
+    and a multichain is a strict chain of j steps with m - j idle steps
+    put in, C(m, j) ways. So the strict chains of j steps number the sum
+    over m <= j of (-1)^(j - m) C(j, m) E_m(V) (the zeta polynomial of
+    Stanley's Enumerative Combinatorics I, 3.12), and a chain has at most
+    n - 1 steps. The levels E_0..E_(n-1) of every vertex set come from
+    one memoized recursion over subsets (see _multichains), or by its size
+    for a complete graph (see _clique_multichains). Default cap
     COUNTING_LIMIT.
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
-    order = _depth_first(g)
-    place = [0] * (g.n + 1)
-    for i, v in enumerate(order):
-        place[v] = 1 << i
-    start = tuple(
-        sum(place[u] for u in iter_bits(g._adj[v])) & ((1 << i) - 1)
-        for i, v in enumerate(order)
-    )
-    memo: dict[tuple[int, ...], int] = {(0,): 1}
-
-    def finish(lower: tuple[int, ...]) -> int:
-        cached = memo.get(lower)
-        if cached is None:
-            cached = memo[lower] = _step_total(lower, most, finish)
-        return cached
-
-    try:
-        return finish(start)
-    finally:
-        del finish  # the closure refers to itself; break the cycle
-
-
-def _depth_first(g: Graph) -> list[int]:
-    """g's vertices in depth-first preorder: from the lowest-numbered
-    vertex of largest degree, each vertex visits its unvisited neighbours
-    largest degree first, lowest number on ties. g must be connected.
-
-    The timed memo is keyed on numbered quotients, so a numbering that
-    follows the edges lets the quotients of relabelled copies of a graph
-    meet: any such order walks a cycle along itself.
-    """
-    rank = {v: (-g._adj[v].bit_count(), v) for v in range(1, g.n + 1)}
-    order: list[int] = []
-    seen = 0
-
-    def visit(v: int) -> None:
-        nonlocal seen
-        seen |= 1 << (v - 1)
-        order.append(v)
-        for u in sorted(iter_bits(g._adj[v]), key=rank.__getitem__):
-            if not seen >> (u - 1) & 1:
-                visit(u)
-
-    try:
-        visit(min(rank, key=rank.__getitem__))
-    finally:
-        del visit  # the closure refers to itself; break the cycle
-    return order
-
-
-def _step_total(lower: tuple[int, ...], most: int, finish) -> int:
-    """Sum of finish(q) over the quotients q one time step away from the
-    quotient whose lower-neighbour masks are `lower`.
-
-    A step partitions the quotient's vertices into admissible groups, bar
-    the partition into singletons. Groups are placed in order of their
-    lowest vertex, `head`: it stays alone or merges with a connected set
-    of at most most - 1 unplaced vertices grown from it (see _groups).
-    Each group's row of the next quotient is built as it is placed, from
-    its reach (the union of its members' neighbourhoods) and the groups
-    placed before it. A complete quotient goes to _complete_step.
-    """
-    k = len(lower)
-    if all(m == (1 << b) - 1 for b, m in enumerate(lower)):
-        return _complete_step(k, most, finish)
-    adj = list(lower)
-    for b, m in enumerate(lower):
-        for a in iter_bits(m):
-            adj[a - 1] |= 1 << b
-    groups: list[int] = []
-    rows: list[int] = []
-
-    def arrange(remaining: int, placed: int) -> int:
-        if not remaining:
-            return finish(tuple(rows)) if len(rows) < k else 0
-        total = 0
-        head = remaining & -remaining
-        reach = adj[head.bit_length() - 1]
-        for group, reach in _groups(adj, head, reach, remaining ^ head, most - 1):
-            reach &= placed
-            row = 0
-            if reach:
-                for a, earlier in enumerate(groups):
-                    if reach & earlier:
-                        row |= 1 << a
-            groups.append(group)
-            rows.append(row)
-            total += arrange(remaining ^ group, placed | group)
-            groups.pop()
-            rows.pop()
-        return total
-
-    try:
-        return arrange((1 << k) - 1, 0)
-    finally:
-        del arrange  # the closure refers to itself; break the cycle
-
-
-def _complete_step(k: int, most: int, finish) -> int:
-    """_step_total on the complete quotient K_k. Every grouping of K_k is
-    admissible and leaves a complete quotient, K_j for j groups, so the
-    step is the sum over j < k of W(k, j) finish(K_j), with W from
-    _groupings instead of one grouping at a time."""
+    several = int(most > 2)
+    n = g.n
+    if 2 * len(g.edges) == n * (n - 1):
+        chains = _clique_multichains(n, several, n)
+    else:
+        memo = {1 << v: (1,) * n for v in range(n)}  # one block at every level
+        memo[0] = ()  # counts 0, so that a set is never its own first block
+        chains = _multichains(g.full_mask(), several, g, memo)
     return sum(
-        w * finish(tuple((1 << b) - 1 for b in range(j)))
-        for j, w in enumerate(_groupings(k, most)[:k])
-        if w
+        (-1) ** (j - m) * binomial(j, m) * e
+        for j in range(n)
+        for m, e in enumerate(chains[: j + 1])
     )
+
+
+def _multichains(
+    mask: int, several: int, g: Graph, memo: dict[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """(E_0(S), ..., E_(n-1)(S)) for the masked set S, which is not in
+    `memo`: E_m(S) counts the m-step multichains of admissible partitions
+    from the singletons of S to the one block S. The merge bound `most` is
+    2 or at least |S|, and several = int(most > 2). The memo is set up and
+    looked up as in _forests, with () for 0: it must hold (1, ..., 1) for
+    each singleton and () for the empty set.
+
+    A multichain's blocks are independent of one another, so it is read
+    off its next-to-last partition: either that is S already, E_(m-1)(S)
+    ways, or its blocks, each holding an (m - 1)-step multichain, merge at
+    the last step. Writing B for the block of S's lowest vertex, E_0(S) =
+    [|S| = 1] and for m >= 1, E_m(S) = E_(m-1)(S) + the sum over connected
+    B != S of E_(m-1)(B) times a factor for the rest S - B. With no bound
+    the rest is any partition into connected blocks with (m - 1)-step
+    multichains, which is E_m(S - B) again, taken as a product over the
+    components of S - B as in _forests. Under bound 2 the rest is one
+    block, so the factor is E_(m-1)(S - B), and () when S - B falls apart.
+
+    The blocks B are grown exactly as in _forests, and each (S, B) pair
+    adds its products for every level at once; a prefix sum over the
+    levels then gives E(S). The loop is _forests' own and not shared with
+    it, since a shared generator slows the plain counter down.
+    """
+    low = mask & -mask
+    part = component_mask(g, mask)
+    if part != mask:
+        levels: tuple[int, ...] = ()
+        if several:
+            levels = memo.get(part)
+            if levels is None:
+                levels = _multichains(part, several, g, memo)
+            others = memo.get(mask ^ part)
+            if others is None:
+                others = _multichains(mask ^ part, several, g, memo)
+            levels = tuple(map(mul, levels, others))
+        memo[mask] = levels
+        return levels
+    adj = g._adj
+    terms = []
+    stack = [(low, adj[low.bit_length()], mask ^ low)]
+    while stack:
+        block, reach, allowed = stack.pop()
+        frontier = reach & allowed
+        while frontier and frontier != allowed:
+            v = frontier & -frontier
+            frontier ^= v
+            allowed ^= v
+            stack.append((block | v, reach | adj[v.bit_length()], allowed))
+        # Every block | sub with sub a submask of the frontier is connected.
+        sub = 0
+        while True:
+            first = block | sub
+            others = memo.get(mask ^ first)
+            if others is None:
+                others = _multichains(mask ^ first, several, g, memo)
+            if others:
+                chains = memo.get(first)
+                if chains is None:
+                    chains = _multichains(first, several, g, memo)
+                # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
+                terms.append(map(mul, chains, others[several:]))
+            if sub == frontier:
+                break
+            sub = (sub - frontier) & frontier
+    # Under bound 2 the products run one level past E_(n-1).
+    levels = tuple(accumulate(map(sum, zip(*terms)), initial=0))[: len(memo[low])]
+    memo[mask] = levels
+    return levels
 
 
 @lru_cache(maxsize=None)
-def _groupings(r: int, most: int) -> tuple[int, ...]:
-    """W(r, j) for j = 0..r: the partitions of r labelled blocks into j
-    groups of at most `most` blocks each. The group holding the first
-    block has s blocks, chosen C(r - 1, s - 1) ways; W(0, 0) = 1."""
-    row = [0] * (r + 1)
-    if r == 0:
-        row[0] = 1
-    for s in range(1, min(most, r) + 1):
-        ways = binomial(r - 1, s - 1)
-        for j, w in enumerate(_groupings(r - s, most)):
-            row[j + 1] += ways * w
-    return tuple(row)
-
-
-def _groups(
-    adj: list[int], grown: int, reach: int, allowed: int, room: int
-) -> Iterator[tuple[int, int]]:
-    """The connected set `grown`, then each connected set that strictly
-    contains it, lies within grown | allowed and has at most `room` more
-    vertices, once each, with its reach. `reach` is the union of the
-    neighbourhoods of grown's vertices. The lowest vertex on the frontier
-    is either taken, or left out of this set and every later one."""
-    yield grown, reach
-    if not room:
-        return
-    frontier = reach & allowed
-    while frontier:
-        v = frontier & -frontier
-        frontier ^= v
-        allowed ^= v
-        yield from _groups(adj, grown | v, reach | adj[v.bit_length() - 1], allowed, room - 1)
+def _clique_multichains(k: int, several: int, levels: int) -> tuple[int, ...]:
+    """_multichains on k >= 1 vertices that induce a clique, which depends
+    on k alone, for levels E_0..E_(levels - 1). The first block holds s < k
+    of the k vertices, the first vertex among them, chosen C(k - 1, s - 1)
+    ways, and the rest is a clique of k - s vertices."""
+    if k == 1:
+        return (1,) * levels
+    steps = [0] * (levels - 1)
+    for s in range(1, k):
+        ways = binomial(k - 1, s - 1)
+        first = _clique_multichains(s, several, levels)
+        others = _clique_multichains(k - s, several, levels)[several:]
+        steps = [t + ways * a * b for t, a, b in zip(steps, first, others)]
+    return tuple(accumulate(steps, initial=0))
 
 
 def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:

@@ -34,7 +34,15 @@ from asmtree.assembly import (
     validation_errors,
 )
 from asmtree.combinat import binomial, stirling2
-from asmtree.formulas import connected_complete, td_connected_complete, td_edge_complete
+from asmtree.formulas import (
+    connected_complete,
+    td_connected_complete,
+    td_connected_cycle,
+    td_connected_path,
+    td_edge_complete,
+    td_edge_cycle,
+    td_edge_path,
+)
 from asmtree.graph import (
     Graph,
     caterpillar,
@@ -750,11 +758,55 @@ def test_timed_counts_on_random_graphs_keep_their_relations():
 
 
 def test_timed_counts_at_the_counting_cap():
-    # Every quotient of K_n, and every quotient under none, is complete
-    # and steps by one weighted sum over the complete quotients below it.
+    # K_n and every count under none go by size alone; paths and cycles
+    # take the subset recursion over all 2^16 sets.
     assert count_timed_trees(complete(16), "connected") == td_connected_complete(16)
     assert count_timed_trees(complete(16), "edge") == td_edge_complete(16)
     assert count_timed_trees(path(16), "none") == td_connected_complete(16)
+    assert count_timed_trees(path(16), "connected") == td_connected_path(16)
+    assert count_timed_trees(path(16), "edge") == td_edge_path(16)
+    assert count_timed_trees(cycle(16), "connected") == td_connected_cycle(16)
+    assert count_timed_trees(cycle(16), "edge") == td_edge_cycle(16)
+
+
+def random_graph(n, extra, seed):
+    """R(n, extra, seed): a random spanning tree on n vertices, each
+    vertex i >= 2 joined to a random earlier one, plus `extra` random
+    edges."""
+    r = random.Random(seed)
+    edges = {(r.randrange(1, i), i) for i in range(2, n + 1)}
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(r.sample(range(1, n + 1), 2))))
+    return Graph(n, edges)
+
+
+def test_timed_counts_on_dense_graphs_are_pinned():
+    # Dense graphs that are not complete, pinned by the quotient-graph
+    # recursion that counted timed trees before the multichain one.
+    halves = Graph(10, [(a, b) for a in range(1, 6) for b in range(6, 11)])
+    pinned = [
+        (random_graph(11, 30, 9), 715649082740, 256961506054),
+        (random_graph(10, 20, 4), 6371694272, 2296225490),
+        (halves, 6395202751, 2290581000),  # K5,5
+    ]
+    for g, connected, edge in pinned:
+        assert (count_timed_trees(g, "connected"), count_timed_trees(g, "edge")) == (
+            connected, edge
+        )
+
+
+def test_timed_counts_on_a_seeded_sweep_are_pinned():
+    # Four random graphs of each size 1..9, sparse to dense, under every
+    # rule; the digest was taken with the quotient-graph recursion.
+    rng = random.Random(9)
+    lines = []
+    for n in range(1, 10):
+        for _ in range(4):
+            extra = rng.randint(0, (n - 1) * (n - 2) // 2)
+            g = random_graph(n, extra, rng.randrange(1 << 30))
+            lines.extend(f"{count_timed_trees(g, rule)}\n" for rule in RULES)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "93dae7f75be9924135741aa77ef5017a2893c418307e3af4a591c80629d4c1a9"
 
 
 def test_timed_counts_do_not_depend_on_the_numbering():
@@ -771,33 +823,6 @@ def test_timed_counts_do_not_depend_on_the_numbering():
             rng.shuffle(perm)
             h = Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
             assert counts == {rule: count_timed_trees(h, rule) for rule in RULES}
-
-
-def test_relabelled_cycles_visit_as_many_quotients(monkeypatch):
-    # The timed memo is keyed on numbered quotients. A depth-first
-    # numbering walks a cycle along itself, so however C12 is labelled it
-    # meets the same quotients as in its natural order.
-    visited = []
-    step = assembly._step_total
-
-    def counted(lower, most, finish):
-        visited.append(lower)
-        return step(lower, most, finish)
-
-    monkeypatch.setattr(assembly, "_step_total", counted)
-    rng = random.Random(3)
-    g = cycle(12)
-    for rule in ("connected", "edge"):
-        visited.clear()
-        expected = count_timed_trees(g, rule)
-        states = len(visited)
-        for _ in range(4):
-            perm = list(range(1, 13))
-            rng.shuffle(perm)
-            h = Graph(12, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
-            visited.clear()
-            assert count_timed_trees(h, rule) == expected
-            assert len(visited) == states
 
 
 def test_plain_counts_on_random_graphs_keep_their_relations():
@@ -1047,16 +1072,22 @@ def labelled_connected_graphs(n):
 def test_census_of_small_connected_graphs():
     # Every labelled connected graph on at most 5 vertices (OEIS A001187),
     # under every rule: the count is the number of trees enumerated, and up
-    # to 4 vertices the number the oracle lists.
+    # to 4 vertices the number the oracle lists. The timed count is the
+    # sum of the enumerated trees' stampings, and up to 4 vertices the
+    # number of timed trees enumerated.
     census = {n: list(labelled_connected_graphs(n)) for n in range(1, 6)}
     assert [len(graphs) for graphs in census.values()] == [1, 1, 4, 38, 728]
     for n, graphs in census.items():
         for g in graphs:
             for rule in RULES:
+                trees = list(enumerate_trees(g, rule))
                 count = count_trees(g, rule)
-                assert count == len(list(enumerate_trees(g, rule)))
+                timed = count_timed_trees(g, rule)
+                assert count == len(trees)
+                assert timed == sum(map(count_level_assignments, trees))
                 if n <= 4:
                     assert count == count_trees_by_listing(n, g.edges, rule)
+                    assert timed == len(list(enumerate_timed_trees(g, rule)))
 
 
 def test_plain_counts_where_only_some_subsets_are_cliques():
@@ -1139,15 +1170,10 @@ def test_plain_counts_on_sparse_graphs_do_not_depend_on_the_numbering():
 
 
 def test_plain_counts_at_the_counting_cap_are_pinned():
-    # R(16, 8, 5): a random spanning tree on 16 vertices plus 8 random edges.
-    r = random.Random(5)
-    edges = {(r.randrange(1, i), i) for i in range(2, 17)}
-    while len(edges) < 15 + 8:
-        edges.add(tuple(sorted(r.sample(range(1, 17), 2))))
     pinned = [
         (cycle(16), 13141557519, 77558760),
         (path(16), 1968801519, 9694845),
-        (Graph(16, edges), 33624586397876, 232175775103),
+        (random_graph(16, 8, 5), 33624586397876, 232175775103),
     ]
     for g, connected, edge in pinned:
         assert (count_trees(g, "connected"), count_trees(g, "edge")) == (connected, edge)
