@@ -27,8 +27,10 @@ again each time it is needed, so memory is bounded by that keep bound, not
 by the tree count. The counters share one memoized recursion over vertex
 subsets, with one count per set for plain trees and one per number of
 time steps for timed ones, bar a complete graph, which counts by its size.
-They must agree with the enumerators wherever both run; `validate` is a
-separate code path against the definition so it can audit either.
+Both counters and the enumerators take a set's connected first blocks from
+_first_blocks alone. The counters must agree with the enumerators wherever
+both run; `validate` is a separate code path against the definition so it
+can audit either.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain, count, islice, product
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .combinat import binomial
 from .graph import (
@@ -174,23 +176,70 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def _partitions_ge1(mask: int, ok: Callable[[int], bool], most: int) -> Iterator[tuple[int, ...]]:
+def _first_blocks(g: Graph, mask: int) -> list[int]:
+    """The connected blocks B of g within the masked set that hold its
+    lowest vertex, each once, the whole set among them when it is
+    connected. The counters and the enumerator take their first blocks
+    from here alone.
+
+    The blocks are grown as connected sets from states (block, reach,
+    allowed) on an explicit stack: reach is the union of the block's
+    neighbourhoods, and allowed the vertices of the set the block may
+    still take. A state leaves the lowest vertex of its frontier reach &
+    allowed out of this block and of every later one, and pushes the
+    state that takes it, so each connected B comes once. Once the
+    frontier is all of allowed, or empty, every block | sub with sub a
+    submask of the frontier is connected: the state steps those submasks
+    with no test and grows no further. So a sparse set grows only its
+    connected blocks, while on a star's centre or a dense set the
+    frontier covers the rest after a vertex or two and the submasks are
+    stepped as they come, with no block tested for connectivity.
+    """
+    adj = g._adj
+    low = mask & -mask
+    blocks = []
+    stack = [(low, adj[low.bit_length()], mask ^ low)]
+    while stack:
+        block, reach, allowed = stack.pop()
+        frontier = reach & allowed
+        while frontier and frontier != allowed:
+            v = frontier & -frontier
+            frontier ^= v
+            allowed ^= v
+            stack.append((block | v, reach | adj[v.bit_length()], allowed))
+        # Every block | sub with sub a submask of the frontier is connected.
+        sub = 0
+        while True:
+            blocks.append(block | sub)
+            if sub == frontier:
+                break
+            sub = (sub - frontier) & frontier
+    return blocks
+
+
+def _partitions_ge1(g: Graph, mask: int, most: int) -> Iterator[tuple[int, ...]]:
     """Set partitions of the masked set into at most `most` blocks that
-    pass ok, each exactly once, blocks listed by ascending minimum vertex.
-    The single block comes last. A block that fails ok is never extended
-    into partitions. With most = 2 these are the two-splits, by ascending
-    submask of the side holding the lowest vertex, then the single block."""
+    are connected in g, each exactly once, blocks listed by ascending
+    minimum vertex and first blocks, from _first_blocks, by ascending
+    mask, so the single block comes last. With most = 2 these are the
+    two-splits, by ascending side holding the lowest vertex, then the
+    single block. The lowest vertex alone is the least first block, and
+    its partitions come before the blocks are listed, so the first
+    partition lists none. A last block is the whole remainder, and takes
+    one walk unless it is a single vertex."""
     if mask == 0:
         yield ()
         return
+    if most == 1:
+        if mask & (mask - 1) == 0 or connected_mask(g, mask):
+            yield (mask,)
+        return
     low = mask & -mask
-    rest = mask ^ low
-    # When one block is left it is the whole remainder.
-    for sub in _submasks(rest) if most > 1 else (rest,):
-        first = low | sub
-        if ok(first):
-            for others in _partitions_ge1(mask ^ first, ok, most - 1):
-                yield (first, *others)
+    for others in _partitions_ge1(g, mask ^ low, most - 1):
+        yield (low, *others)
+    for first in sorted(_first_blocks(g, mask))[1:]:
+        for others in _partitions_ge1(g, mask ^ first, most - 1):
+            yield (first, *others)
 
 
 def _prepare(
@@ -276,16 +325,12 @@ def _product(g: Graph, most: int, blocks: tuple[int, ...], kept: dict) -> Iterat
 
 def _build_trees(g: Graph, most: int, mask: int, kept: dict) -> Iterator[AssemblyTree]:
     """The trees on the masked set, which must be connected in g: the full
-    set has passed _prepare's check and every block has passed ok."""
+    set has passed _prepare's check and every block is connected."""
     if mask & (mask - 1) == 0:
         yield leaf(mask.bit_length())
         return
     label = mask_vertices(mask)
-
-    def ok(block: int) -> bool:
-        return block & (block - 1) == 0 or connected_mask(g, block)
-
-    for blocks in _partitions_ge1(mask, ok, most):
+    for blocks in _partitions_ge1(g, mask, most):
         if len(blocks) == 1:
             return  # the single block, listed last, is not a branching
         for combo in _product(g, most, blocks, kept):
@@ -303,8 +348,7 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     product of the block counts, where under bound 2 the rest beside the
     block holding the lowest vertex must be one tree. A subset that falls
     apart in g counts as the product of its components, so only connected
-    subsets have first blocks to sum over, and those blocks are grown as
-    connected sets, so none is built only to be thrown away. Agrees with
+    subsets have first blocks to sum over (see _first_blocks). Agrees with
     len(list(enumerate_trees(...))) wherever enumeration is feasible and
     goes considerably further (default cap COUNTING_LIMIT).
     """
@@ -346,21 +390,9 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
     is the empty set. These binary trees are the EDGE trees: an edge
     joins two connected sides exactly when their union is connected.
 
-    The blocks B are grown as connected sets from states (block, reach,
-    allowed) on an explicit stack: reach is the union of the block's
-    neighbourhoods, and allowed the vertices of S the block may still
-    take. A state leaves the lowest vertex of its frontier reach &
-    allowed out of this block and of every later one, and pushes the
-    state that takes it, so each connected B comes once. Once the
-    frontier is all of allowed, or empty, every block | sub with sub a
-    submask of the frontier is connected: the state steps those submasks
-    with no test and grows no further. So a sparse S grows only its
-    connected blocks, while on a star's centre or a dense S the frontier
-    covers the rest after a vertex or two and the submasks are stepped as
-    they come, with no block tested for connectivity.
+    The blocks B come from _first_blocks, grown as connected sets, so
+    none is built only to be thrown away.
     """
-    low = mask & -mask
-    rest = mask ^ low
     part = component_mask(g, mask)
     if part != mask:
         total = 0
@@ -374,34 +406,18 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
             total *= others
         memo[mask] = total
         return total
-    adj = g._adj
     total = 0
-    stack = [(low, adj[low.bit_length()], rest)]
-    while stack:
-        block, reach, allowed = stack.pop()
-        frontier = reach & allowed
-        while frontier and frontier != allowed:
-            v = frontier & -frontier
-            frontier ^= v
-            allowed ^= v
-            stack.append((block | v, reach | adj[v.bit_length()], allowed))
-        # Every block | sub with sub a submask of the frontier is connected.
-        sub = 0
-        while True:
-            first = block | sub
-            others = memo.get(mask ^ first)
-            if others is None:
-                others = _forests(mask ^ first, several, g, memo)
-            if others:
-                trees = memo.get(first)
-                if trees is None:
-                    trees = _forests(first, several, g, memo)
-                total += trees * others
-            if sub == frontier:
-                break
-            sub = (sub - frontier) & frontier
+    for first in _first_blocks(g, mask):
+        others = memo.get(mask ^ first)
+        if others is None:
+            others = _forests(mask ^ first, several, g, memo)
+        if others:
+            trees = memo.get(first)
+            if trees is None:
+                trees = _forests(first, several, g, memo)
+            total += trees * others
     if several:
-        total += memo[rest]  # the lowest vertex alone, once more
+        total += memo[mask & (mask - 1)]  # the lowest vertex alone, once more
     memo[mask] = total
     return total
 
@@ -467,49 +483,49 @@ def count_level_assignments(t: AssemblyTree) -> int:
     the set of already-stamped nodes.
     """
     _, child_masks = _internal_index(t)
-    memo = {(1 << len(child_masks)) - 1: 1}
+    return _round_sequences(child_masks, 0, {(1 << len(child_masks)) - 1: 1})
 
-    def fill(placed: int) -> int:
-        cached = memo.get(placed)
-        if cached is None:
-            cached = memo[placed] = sum(
-                fill(placed | pick) for pick in _rounds(child_masks, placed)
-            )
-        return cached
 
-    try:
-        return fill(0)
-    finally:
-        del fill  # the closure refers to itself; break the cycle
+def _round_sequences(child_masks: list[int], placed: int, memo: dict[int, int]) -> int:
+    """The round sequences that stamp the nodes not in `placed`; `memo`
+    holds 1 for the set of all nodes from the start."""
+    cached = memo.get(placed)
+    if cached is None:
+        cached = memo[placed] = sum(
+            _round_sequences(child_masks, placed | pick, memo)
+            for pick in _rounds(child_masks, placed)
+        )
+    return cached
 
 
 def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
-    """Yield t under each of its valid time stampings, in the round order
-    of count_level_assignments. Each round builds its picked nodes over
-    their children's stamped forms, which earlier rounds have placed in
-    `stamped`; a node is overwritten only by a later branch that places it
-    again."""
+    """t under each of its valid time stampings, lazily, in the round
+    order of count_level_assignments."""
     order, child_masks = _internal_index(t)
-    full = (1 << len(child_masks)) - 1
     stamped = {
         node.label: AssemblyTree(node.label, time=0) for node in t.walk() if not node.children
     }
+    return _stamp(t.label, order, child_masks, stamped, 0, 1)
 
-    def build(placed: int, next_time: int) -> Iterator[AssemblyTree]:
-        if placed == full:
-            yield stamped[t.label]
-            return
-        for pick in _rounds(child_masks, placed):
-            for i in iter_bits(pick):
-                node = order[i - 1]
-                kids = tuple([stamped[c.label] for c in node.children])
-                stamped[node.label] = AssemblyTree(node.label, kids, next_time)
-            yield from build(placed | pick, next_time + 1)
 
-    try:
-        yield from build(0, 1)
-    finally:
-        del build  # the closure refers to itself; break the cycle
+def _stamp(
+    root: frozenset[int], order: list[AssemblyTree], child_masks: list[int],
+    stamped: dict[frozenset[int], AssemblyTree], placed: int, time: int,
+) -> Iterator[AssemblyTree]:
+    """_stampings once the nodes in `placed` are stamped and the next
+    round is at `time`. Each round builds its picked nodes over their
+    children's stamped forms, which earlier rounds have placed in
+    `stamped`; a node is overwritten only by a later branch that places it
+    again."""
+    if placed == (1 << len(order)) - 1:
+        yield stamped[root]
+        return
+    for pick in _rounds(child_masks, placed):
+        for i in iter_bits(pick):
+            node = order[i - 1]
+            kids = tuple([stamped[c.label] for c in node.children])
+            stamped[node.label] = AssemblyTree(node.label, kids, time)
+        yield from _stamp(root, order, child_masks, stamped, placed | pick, time + 1)
 
 
 def enumerate_timed_trees(
@@ -581,12 +597,10 @@ def _multichains(
     components of S - B as in _forests. Under bound 2 the rest is one
     block, so the factor is E_(m-1)(S - B), and () when S - B falls apart.
 
-    The blocks B are grown exactly as in _forests, and each (S, B) pair
-    adds its products for every level at once; a prefix sum over the
-    levels then gives E(S). The loop is _forests' own and not shared with
-    it, since a shared generator slows the plain counter down.
+    The blocks B come from _first_blocks, as in _forests, and each (S, B)
+    pair adds its products for every level at once; a prefix sum over the
+    levels then gives E(S).
     """
-    low = mask & -mask
     part = component_mask(g, mask)
     if part != mask:
         levels: tuple[int, ...] = ()
@@ -600,35 +614,19 @@ def _multichains(
             levels = tuple(map(mul, levels, others))
         memo[mask] = levels
         return levels
-    adj = g._adj
     terms = []
-    stack = [(low, adj[low.bit_length()], mask ^ low)]
-    while stack:
-        block, reach, allowed = stack.pop()
-        frontier = reach & allowed
-        while frontier and frontier != allowed:
-            v = frontier & -frontier
-            frontier ^= v
-            allowed ^= v
-            stack.append((block | v, reach | adj[v.bit_length()], allowed))
-        # Every block | sub with sub a submask of the frontier is connected.
-        sub = 0
-        while True:
-            first = block | sub
-            others = memo.get(mask ^ first)
-            if others is None:
-                others = _multichains(mask ^ first, several, g, memo)
-            if others:
-                chains = memo.get(first)
-                if chains is None:
-                    chains = _multichains(first, several, g, memo)
-                # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
-                terms.append(map(mul, chains, others[several:]))
-            if sub == frontier:
-                break
-            sub = (sub - frontier) & frontier
+    for first in _first_blocks(g, mask):
+        others = memo.get(mask ^ first)
+        if others is None:
+            others = _multichains(mask ^ first, several, g, memo)
+        if others:
+            chains = memo.get(first)
+            if chains is None:
+                chains = _multichains(first, several, g, memo)
+            # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
+            terms.append(map(mul, chains, others[several:]))
     # Under bound 2 the products run one level past E_(n-1).
-    levels = tuple(accumulate(map(sum, zip(*terms)), initial=0))[: len(memo[low])]
+    levels = tuple(accumulate(map(sum, zip(*terms)), initial=0))[: len(memo[mask & -mask])]
     memo[mask] = levels
     return levels
 

@@ -1060,6 +1060,45 @@ def test_plain_counts_walk_each_set_at_most_once(monkeypatch):
     }
 
 
+def test_first_blocks_are_the_connected_sets_holding_the_lowest_vertex():
+    # On every nonempty mask, connected or not, each block comes once, and
+    # together they are the submasks holding the mask's lowest vertex that
+    # induce a connected subgraph.
+    rng = random.Random(23)
+    graphs = [star(7), complete(6), cycle(7)]
+    for n in range(1, 9):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(2):
+            graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for g in graphs:
+        for mask in range(1, 1 << g.n):
+            low = mask & -mask
+            blocks = assembly._first_blocks(g, mask)
+            assert len(blocks) == len(set(blocks))
+            assert sorted(blocks) == [
+                b for b in range(mask + 1) if b & mask == b and b & low and connected_mask(g, b)
+            ]
+
+
+def test_enumerations_walk_only_to_check_a_last_block(monkeypatch):
+    # First blocks are grown connected, so the walks left are _prepare's
+    # check of the whole graph and, under bound 2, one per side beside the
+    # first block that has two or more vertices, which must be connected.
+    walks = []
+
+    def walk(g, mask):
+        walks.append(mask)
+        return connected_mask(g, mask)
+
+    monkeypatch.setattr(assembly, "connected_mask", walk)
+    work = {}
+    for name, g, rule in (("P8", path(8), "connected"), ("C8", cycle(8), "edge")):
+        walks.clear()
+        list(enumerate_trees(g, rule))
+        work[name, rule] = len(walks)
+    assert work == {("P8", "connected"): 1, ("C8", "edge"): 197}
+
+
 def labelled_connected_graphs(n):
     """Every connected graph on the vertices 1..n, one per edge set."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
