@@ -26,21 +26,24 @@ kept once built only when there are few of them, and a larger set is built
 again each time it is needed, so memory is bounded by that keep bound, not
 by the tree count. The counters share one memoized recursion over vertex
 subsets, with one count per set for plain trees and one per number of
-time steps for timed ones, bar a complete graph, which counts by its size.
-Both counters and the enumerators take a set's connected first blocks from
-_first_blocks alone. The counters must agree with the enumerators wherever
-both run; `validate` is a separate code path against the definition so it
-can audit either.
+time steps for timed ones. Twins, vertices u and v with N(u) - v = N(v) -
+u, are swapped by an automorphism of the graph, so a set's count depends
+only on how many members of each twin class it holds: the recursion
+memoises canonical sets alone, which hold the lowest members of each
+class, so K_n, one class, takes n - 1 sets of two or more vertices. Both counters and the
+enumerators take a set's connected first blocks from _first_blocks alone.
+The counters must agree with the enumerators wherever both run; `validate`
+is a separate code path against the definition so it can audit either.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate, chain, count, islice, product
+from math import comb
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .combinat import binomial
 from .graph import (
@@ -176,24 +179,87 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def _first_blocks(g: Graph, mask: int) -> list[int]:
+class _Twins(NamedTuple):
+    """A graph's twin classes as the subset recursion reads them.
+
+    twinned: the vertices that have a twin.
+    keep: keep[v] for a twinned vertex v is the mask of all vertices but v
+        and the members of its class above it, those a block may no longer
+        take once it leaves v out.
+    classes: (class mask, prefixes) for each class of two or more
+        vertices, where prefixes[j] is the mask of its j lowest members.
+    """
+
+    twinned: int
+    keep: tuple[int, ...]
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _twin_classes(g: Graph) -> _Twins:
+    """g's twin classes: u and v are twins when N(u) - v = N(v) - u, so
+    false twins share their open neighbourhood and true twins their closed
+    one. No vertex has twins of both kinds, since a true twin of u is
+    adjacent to u's neighbours and so to a false twin of u, which would
+    then be adjacent to u. Swapping two twins is an automorphism."""
+    opened: dict[int, int] = {}  # vertices by open neighbourhood
+    closed: dict[int, int] = {}  # and by closed neighbourhood
+    for v in range(1, g.n + 1):
+        bit = 1 << (v - 1)
+        nbrs = g._adj[v]
+        opened[nbrs] = opened.get(nbrs, 0) | bit
+        nbrs |= bit
+        closed[nbrs] = closed.get(nbrs, 0) | bit
+    keep = [0] * (g.n + 1)
+    twinned = 0
+    classes = []
+    for members in chain(opened.values(), closed.values()):
+        if members & (members - 1):
+            twinned |= members
+            prefixes = [0]
+            for v in iter_bits(members):
+                keep[v] = ~(members ^ prefixes[-1])  # v and the members above it
+                prefixes.append(prefixes[-1] | 1 << (v - 1))
+            classes.append((members, tuple(prefixes)))
+    return _Twins(twinned, tuple(keep), tuple(classes))
+
+
+def _canonical(mask: int, twins: _Twins) -> int:
+    """The canonical set of the masked one: for every twin class, the
+    same number of its members, the lowest ones."""
+    for members, prefixes in twins.classes:
+        held = mask & members
+        if held:
+            mask ^= held ^ prefixes[held.bit_count()]
+    return mask
+
+
+def _first_blocks(g: Graph, mask: int, twinned: int = 0, keep: tuple[int, ...] = ()) -> list[int]:
     """The connected blocks B of g within the masked set that hold its
     lowest vertex, each once, the whole set among them when it is
     connected. The counters and the enumerator take their first blocks
-    from here alone.
+    from here alone. Given a twin class table (twinned and keep of
+    _Twins) and a canonical set, only the blocks that are canonical sets
+    come.
 
     The blocks are grown as connected sets from states (block, reach,
     allowed) on an explicit stack: reach is the union of the block's
     neighbourhoods, and allowed the vertices of the set the block may
-    still take. A state leaves the lowest vertex of its frontier reach &
-    allowed out of this block and of every later one, and pushes the
-    state that takes it, so each connected B comes once. Once the
-    frontier is all of allowed, or empty, every block | sub with sub a
-    submask of the frontier is connected: the state steps those submasks
-    with no test and grows no further. So a sparse set grows only its
-    connected blocks, while on a star's centre or a dense set the
-    frontier covers the rest after a vertex or two and the submasks are
-    stepped as they come, with no block tested for connectivity.
+    still take. A state leaves a vertex v of its frontier reach & allowed
+    out of this block and of every later one, and pushes the state that
+    takes it, so each connected B comes once. Twinned vertices of the
+    frontier go first, lowest first, and leaving one out also leaves out
+    the members of its class above it. A twin u below v is then in the
+    block already, or in the frontier before v (a neighbour of v in the
+    block other than u is one of u's), or was left out, and v with it:
+    of each class, every block holds the lowest members. Once the frontier
+    holds no twinned vertex and is all of allowed, or empty, every block
+    | sub with sub a submask of the frontier is connected and canonical:
+    the state steps those submasks with no test and grows no further. So
+    a sparse set grows only its connected blocks, while on a dense set
+    the frontier covers the rest after a vertex or two and the submasks
+    are stepped as they come, with no block tested for connectivity; on a
+    star's centre the leaves are one class, and the blocks are the centre
+    with its j lowest leaves.
     """
     adj = g._adj
     low = mask & -mask
@@ -202,6 +268,13 @@ def _first_blocks(g: Graph, mask: int) -> list[int]:
     while stack:
         block, reach, allowed = stack.pop()
         frontier = reach & allowed
+        while frontier & twinned:
+            v = frontier & twinned
+            v &= -v
+            i = v.bit_length()
+            stack.append((block | v, reach | adj[i], allowed ^ v))
+            allowed &= keep[i]
+            frontier &= allowed
         while frontier and frontier != allowed:
             v = frontier & -frontier
             frontier ^= v
@@ -340,29 +413,62 @@ def _build_trees(g: Graph, most: int, mask: int, kept: dict) -> Iterator[Assembl
 def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -> int:
     """Number of assembly trees of g under the rule.
 
-    A complete graph counts by its size alone (see _clique_forests), so
-    K_n and every NONE count, which _prepare runs on K_n, take no subset
-    steps. Any other graph goes to one memoized recursion over vertex
-    subsets (see _forests) that serves both merge bounds: a connected
-    subset's count sums, over its partitions into connected blocks, the
-    product of the block counts, where under bound 2 the rest beside the
-    block holding the lowest vertex must be one tree. A subset that falls
-    apart in g counts as the product of its components, so only connected
-    subsets have first blocks to sum over (see _first_blocks). Agrees with
-    len(list(enumerate_trees(...))) wherever enumeration is feasible and
-    goes considerably further (default cap COUNTING_LIMIT).
+    One memoized recursion over vertex subsets (see _forests) serves both
+    merge bounds: a connected subset's count sums, over its partitions
+    into connected blocks, the product of the block counts, where under
+    bound 2 the rest beside the block holding the lowest vertex must be
+    one tree. A subset that falls apart in g counts as the product of its
+    components, so only connected subsets have first blocks to sum over
+    (see _first_blocks). Sets that differ by swapping twins count the
+    same, so only canonical sets are memoised: K_n, one twin class, and
+    every NONE count, which _prepare runs on K_n, enter n - 1 sets.
+    Agrees with len(list(enumerate_trees(...))) wherever enumeration is
+    feasible and goes considerably further (default cap COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     several = int(most > 2)
-    n = g.n
-    if 2 * len(g.edges) == n * (n - 1):
-        return _clique_forests(n, several) >> several
-    memo = {1 << v: 1 for v in range(n)}  # a singleton has one tree
+    memo = {1 << v: 1 for v in range(g.n)}  # a singleton has one tree
     memo[0] = 0  # so that a set is never its own first block
-    return _forests(g.full_mask(), several, g, memo) >> several
+    full = g.full_mask()
+    return (memo.get(full) or _forests(full, several, g, _twin_classes(g), memo)) >> several
 
 
-def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
+def _held(mask: int, twins: _Twins) -> list[tuple[int, tuple[int, ...], int]]:
+    """For each twin class of which the canonical masked set S less its
+    lowest vertex holds more than the class's lowest member: the members
+    it holds, the class's prefixes and their number. Empty when S - low
+    holds at most one member of each class, the lowest, as it does for
+    every set of a graph with no twins."""
+    others = mask & (mask - 1)
+    held = []
+    for members, prefixes in twins.classes:
+        members &= others
+        if members & (members - 1) or members & ~prefixes[1]:
+            held.append((members, prefixes, members.bit_count()))
+    return held
+
+
+def _splits(
+    g: Graph, mask: int, twins: _Twins, held: list[tuple[int, tuple[int, ...], int]]
+) -> Iterator[tuple[int, int, int]]:
+    """(B, R, ways) for each canonical first block B of the canonical
+    masked set S, with held = _held(mask, twins): R is the canonical set
+    of S - B, and ways the number of first blocks B stands for, those
+    that swapping twins within S - low maps onto B. A class of which S -
+    low holds k members and B - low b of them gives C(k, b) of those ways:
+    for the class of S's lowest vertex, C(k - 1, b - 1) in the class's
+    own counts."""
+    for first in _first_blocks(g, mask, twins.twinned, twins.keep):
+        rest = mask ^ first
+        ways = 1
+        for members, prefixes, k in held:
+            b = (first & members).bit_count()
+            ways *= comb(k, b)
+            rest ^= (rest & members) ^ prefixes[k - b]
+        yield first, rest, ways
+
+
+def _forests(mask: int, several: int, g: Graph, twins: _Twins, memo: dict[int, int]) -> int:
     """F(S): the forests of admissible trees on the masked set S, summing
     the product of the trees' counts T, for an S that is not in `memo`.
     The merge bound `most` is 2 or at least |S|, and several =
@@ -370,11 +476,18 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
     call. `memo` must hold from the start 1 for each singleton, which has
     T = F = 1, and 0 for the empty set, so that S is not its own block.
 
+    `twins` holds g's twin classes (_twin_classes), and S must be
+    canonical: of each class it holds the lowest members. Every set
+    passed on is mapped to its canonical set (_canonical), which has the
+    same count, so `memo` holds canonical sets alone.
+
     A forest's trees sit on connected blocks, so a block never crosses
     the components of the graph S induces. When S falls apart, with no
     bound F(S) is the product of F over the component of S's lowest
     vertex and F over the rest; under bound 2 the forest must be one
-    tree, and F(S) = 0. One walk (component_mask) per S tells which.
+    tree, and F(S) = 0. One walk (component_mask) per S tells which. The
+    component is canonical: it holds all members of a class that S
+    holds, or, when they have no neighbour in S, at most the lowest.
 
     On a connected S, a forest's first tree is on a block B holding S's
     lowest vertex. With no bound the rest S - B may hold several trees;
@@ -391,7 +504,11 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
     joins two connected sides exactly when their union is connected.
 
     The blocks B come from _first_blocks, grown as connected sets, so
-    none is built only to be thrown away.
+    none is built only to be thrown away. When S - low holds two members
+    of a class, or one above its lowest, they are canonical, and each
+    stands for the blocks that swapping twins within S - low maps onto
+    it, prod C(k_c, b_c) of them over the classes c, where S - low holds
+    k_c members of c and B - low b_c (see _splits).
     """
     part = component_mask(g, mask)
     if part != mask:
@@ -399,45 +516,46 @@ def _forests(mask: int, several: int, g: Graph, memo: dict[int, int]) -> int:
         if several:
             total = memo.get(part)
             if total is None:
-                total = _forests(part, several, g, memo)
-            others = memo.get(mask ^ part)
+                total = _forests(part, several, g, twins, memo)
+            rest = mask ^ part
+            if rest & twins.twinned:
+                rest = _canonical(rest, twins)
+            others = memo.get(rest)
             if others is None:
-                others = _forests(mask ^ part, several, g, memo)
+                others = _forests(rest, several, g, twins, memo)
             total *= others
         memo[mask] = total
         return total
+    held = _held(mask, twins) if mask & twins.twinned else None
     total = 0
-    for first in _first_blocks(g, mask):
-        others = memo.get(mask ^ first)
-        if others is None:
-            others = _forests(mask ^ first, several, g, memo)
-        if others:
-            trees = memo.get(first)
-            if trees is None:
-                trees = _forests(first, several, g, memo)
-            total += trees * others
+    if not held:
+        # S - low holds at most the lowest member of each class: every
+        # connected block and every rest is canonical, and weighs 1. This
+        # is the weighted loop below less its mapping, kept apart because
+        # it is the whole loop of a graph with no twins.
+        for first in _first_blocks(g, mask):
+            others = memo.get(mask ^ first)
+            if others is None:
+                others = _forests(mask ^ first, several, g, twins, memo)
+            if others:
+                trees = memo.get(first)
+                if trees is None:
+                    trees = _forests(first, several, g, twins, memo)
+                total += trees * others
+    else:
+        for first, rest, ways in _splits(g, mask, twins, held):
+            others = memo.get(rest)
+            if others is None:
+                others = _forests(rest, several, g, twins, memo)
+            if others:
+                trees = memo.get(first)
+                if trees is None:
+                    trees = _forests(first, several, g, twins, memo)
+                total += ways * trees * others
     if several:
-        total += memo[mask & (mask - 1)]  # the lowest vertex alone, once more
+        # the lowest vertex alone, once more
+        total += memo[_canonical(mask & (mask - 1), twins) if held else mask & (mask - 1)]
     memo[mask] = total
-    return total
-
-
-@lru_cache(maxsize=None)
-def _clique_forests(k: int, several: int) -> int:
-    """F(K_k) for k >= 1 in _forests' convention: the forests on k
-    vertices that induce a clique, which depend on k alone, so T(K_k) =
-    F(K_k) >> several for k >= 2. The first block holds the first vertex
-    and s of the k vertices, chosen C(k - 1, s - 1) ways; as in _forests,
-    a block of one vertex weighs 1, the block of all k is skipped, and
-    with no bound (several = 1) the first vertex alone counts once more:
-    F(K_1) = 1 and F(K_k) = several F(K_(k-1)) + the sum over 1 <= s < k
-    of C(k - 1, s - 1) F(K_s) F(K_(k-s))."""
-    if k == 1:
-        return 1
-    total = several * _clique_forests(k - 1, several)
-    for s in range(1, k):
-        ways = binomial(k - 1, s - 1) * _clique_forests(s, several)
-        total += ways * _clique_forests(k - s, several)
     return total
 
 
@@ -556,19 +674,16 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     over m <= j of (-1)^(j - m) C(j, m) E_m(V) (the zeta polynomial of
     Stanley's Enumerative Combinatorics I, 3.12), and a chain has at most
     n - 1 steps. The levels E_0..E_(n-1) of every vertex set come from
-    one memoized recursion over subsets (see _multichains), or by its size
-    for a complete graph (see _clique_multichains). Default cap
-    COUNTING_LIMIT.
+    one memoized recursion over canonical subsets (see _multichains), as
+    in count_trees, so K_n enters n - 1 sets. Default cap COUNTING_LIMIT.
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     several = int(most > 2)
     n = g.n
-    if 2 * len(g.edges) == n * (n - 1):
-        chains = _clique_multichains(n, several, n)
-    else:
-        memo = {1 << v: (1,) * n for v in range(n)}  # one block at every level
-        memo[0] = ()  # counts 0, so that a set is never its own first block
-        chains = _multichains(g.full_mask(), several, g, memo)
+    memo = {1 << v: (1,) * n for v in range(n)}  # one block at every level
+    memo[0] = ()  # counts 0, so that a set is never its own first block
+    full = g.full_mask()
+    chains = memo.get(full) or _multichains(full, several, g, _twin_classes(g), memo)
     return sum(
         (-1) ** (j - m) * binomial(j, m) * e
         for j in range(n)
@@ -577,14 +692,15 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
 
 
 def _multichains(
-    mask: int, several: int, g: Graph, memo: dict[int, tuple[int, ...]]
+    mask: int, several: int, g: Graph, twins: _Twins, memo: dict[int, tuple[int, ...]]
 ) -> tuple[int, ...]:
     """(E_0(S), ..., E_(n-1)(S)) for the masked set S, which is not in
     `memo`: E_m(S) counts the m-step multichains of admissible partitions
     from the singletons of S to the one block S. The merge bound `most` is
     2 or at least |S|, and several = int(most > 2). The memo is set up and
     looked up as in _forests, with () for 0: it must hold (1, ..., 1) for
-    each singleton and () for the empty set.
+    each singleton and () for the empty set. S is canonical, and every
+    set passed on is mapped to its canonical set, as in _forests.
 
     A multichain's blocks are independent of one another, so it is read
     off its next-to-last partition: either that is S already, E_(m-1)(S)
@@ -597,9 +713,10 @@ def _multichains(
     components of S - B as in _forests. Under bound 2 the rest is one
     block, so the factor is E_(m-1)(S - B), and () when S - B falls apart.
 
-    The blocks B come from _first_blocks, as in _forests, and each (S, B)
-    pair adds its products for every level at once; a prefix sum over the
-    levels then gives E(S).
+    The blocks B come from _first_blocks, canonical and weighed by the
+    blocks they stand for as in _forests, and each (S, B) pair adds its
+    products for every level at once; a prefix sum over the levels then
+    gives E(S).
     """
     part = component_mask(g, mask)
     if part != mask:
@@ -607,45 +724,44 @@ def _multichains(
         if several:
             levels = memo.get(part)
             if levels is None:
-                levels = _multichains(part, several, g, memo)
-            others = memo.get(mask ^ part)
+                levels = _multichains(part, several, g, twins, memo)
+            rest = mask ^ part
+            if rest & twins.twinned:
+                rest = _canonical(rest, twins)
+            others = memo.get(rest)
             if others is None:
-                others = _multichains(mask ^ part, several, g, memo)
+                others = _multichains(rest, several, g, twins, memo)
             levels = tuple(map(mul, levels, others))
         memo[mask] = levels
         return levels
+    held = _held(mask, twins) if mask & twins.twinned else None
     terms = []
-    for first in _first_blocks(g, mask):
-        others = memo.get(mask ^ first)
-        if others is None:
-            others = _multichains(mask ^ first, several, g, memo)
-        if others:
-            chains = memo.get(first)
-            if chains is None:
-                chains = _multichains(first, several, g, memo)
-            # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
-            terms.append(map(mul, chains, others[several:]))
+    if not held:
+        # Every connected block and every rest is canonical, as in _forests.
+        for first in _first_blocks(g, mask):
+            others = memo.get(mask ^ first)
+            if others is None:
+                others = _multichains(mask ^ first, several, g, twins, memo)
+            if others:
+                chains = memo.get(first)
+                if chains is None:
+                    chains = _multichains(first, several, g, twins, memo)
+                # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
+                terms.append(map(mul, chains, others[several:]))
+    else:
+        for first, rest, ways in _splits(g, mask, twins, held):
+            others = memo.get(rest)
+            if others is None:
+                others = _multichains(rest, several, g, twins, memo)
+            if others:
+                chains = memo.get(first)
+                if chains is None:
+                    chains = _multichains(first, several, g, twins, memo)
+                terms.append(map(ways.__mul__, map(mul, chains, others[several:])))
     # Under bound 2 the products run one level past E_(n-1).
     levels = tuple(accumulate(map(sum, zip(*terms)), initial=0))[: len(memo[mask & -mask])]
     memo[mask] = levels
     return levels
-
-
-@lru_cache(maxsize=None)
-def _clique_multichains(k: int, several: int, levels: int) -> tuple[int, ...]:
-    """_multichains on k >= 1 vertices that induce a clique, which depends
-    on k alone, for levels E_0..E_(levels - 1). The first block holds s < k
-    of the k vertices, the first vertex among them, chosen C(k - 1, s - 1)
-    ways, and the rest is a clique of k - s vertices."""
-    if k == 1:
-        return (1,) * levels
-    steps = [0] * (levels - 1)
-    for s in range(1, k):
-        ways = binomial(k - 1, s - 1)
-        first = _clique_multichains(s, several, levels)
-        others = _clique_multichains(k - s, several, levels)[several:]
-        steps = [t + ways * a * b for t, a, b in zip(steps, first, others)]
-    return tuple(accumulate(steps, initial=0))
 
 
 def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
