@@ -30,8 +30,11 @@ time steps for timed ones. Twins, vertices u and v with N(u) - v = N(v) -
 u, are swapped by an automorphism of the graph, so a set's count depends
 only on how many members of each twin class it holds: the recursion
 memoises canonical sets alone, which hold the lowest members of each
-class, so K_n, one class, takes n - 1 sets of two or more vertices. Both counters and the
-enumerators take a set's connected first blocks from _first_blocks alone.
+class, so K_n, one class, takes n - 1 sets of two or more vertices. Both
+counters and the enumerators take a set's connected first blocks from
+_first_blocks alone, and each counter sums over them in one loop, which
+weighs a canonical block by the blocks it stands for when the set holds
+twins to swap.
 The counters must agree with the enumerators wherever both run; `validate`
 is a separate code path against the definition so it can audit either.
 """
@@ -41,11 +44,10 @@ from __future__ import annotations
 import json
 from enum import Enum
 from itertools import accumulate, chain, count, islice, product
-from math import comb
-from operator import mul
+from math import comb, prod
+from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .combinat import binomial
 from .graph import (
     MAX_VERTICES,
     Graph,
@@ -237,9 +239,9 @@ def _first_blocks(g: Graph, mask: int, twinned: int = 0, keep: tuple[int, ...] =
     """The connected blocks B of g within the masked set that hold its
     lowest vertex, each once, the whole set among them when it is
     connected. The counters and the enumerator take their first blocks
-    from here alone. Given a twin class table (twinned and keep of
-    _Twins) and a canonical set, only the blocks that are canonical sets
-    come.
+    from here alone. The counters pass a twin class table (twinned and
+    keep of _Twins) and a canonical set, and only the blocks that are
+    canonical sets come; the enumerator passes none and takes them all.
 
     The blocks are grown as connected sets from states (block, reach,
     allowed) on an explicit stack: reach is the union of the block's
@@ -433,39 +435,21 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     return (memo.get(full) or _forests(full, several, g, _twin_classes(g), memo)) >> several
 
 
-def _held(mask: int, twins: _Twins) -> list[tuple[int, tuple[int, ...], int]]:
+def _held(mask: int, twins: _Twins) -> list[tuple[int, tuple[int, ...], int]] | None:
     """For each twin class of which the canonical masked set S less its
     lowest vertex holds more than the class's lowest member: the members
-    it holds, the class's prefixes and their number. Empty when S - low
+    it holds, the class's prefixes and their number. None when S - low
     holds at most one member of each class, the lowest, as it does for
-    every set of a graph with no twins."""
+    every set of a graph with no twins: then every connected block of S
+    and every rest is canonical, and the block loops of _forests and
+    _multichains neither weigh nor map them."""
     others = mask & (mask - 1)
     held = []
     for members, prefixes in twins.classes:
         members &= others
         if members & (members - 1) or members & ~prefixes[1]:
             held.append((members, prefixes, members.bit_count()))
-    return held
-
-
-def _splits(
-    g: Graph, mask: int, twins: _Twins, held: list[tuple[int, tuple[int, ...], int]]
-) -> Iterator[tuple[int, int, int]]:
-    """(B, R, ways) for each canonical first block B of the canonical
-    masked set S, with held = _held(mask, twins): R is the canonical set
-    of S - B, and ways the number of first blocks B stands for, those
-    that swapping twins within S - low maps onto B. A class of which S -
-    low holds k members and B - low b of them gives C(k, b) of those ways:
-    for the class of S's lowest vertex, C(k - 1, b - 1) in the class's
-    own counts."""
-    for first in _first_blocks(g, mask, twins.twinned, twins.keep):
-        rest = mask ^ first
-        ways = 1
-        for members, prefixes, k in held:
-            b = (first & members).bit_count()
-            ways *= comb(k, b)
-            rest ^= (rest & members) ^ prefixes[k - b]
-        yield first, rest, ways
+    return held or None
 
 
 def _forests(mask: int, several: int, g: Graph, twins: _Twins, memo: dict[int, int]) -> int:
@@ -503,12 +487,16 @@ def _forests(mask: int, several: int, g: Graph, twins: _Twins, memo: dict[int, i
     is the empty set. These binary trees are the EDGE trees: an edge
     joins two connected sides exactly when their union is connected.
 
-    The blocks B come from _first_blocks, grown as connected sets, so
-    none is built only to be thrown away. When S - low holds two members
-    of a class, or one above its lowest, they are canonical, and each
+    One loop takes the blocks B from _first_blocks, grown as connected
+    canonical sets, so none is built only to be thrown away. When S - low
+    holds two members of a class, or one above its lowest (_held), each B
     stands for the blocks that swapping twins within S - low maps onto
     it, prod C(k_c, b_c) of them over the classes c, where S - low holds
-    k_c members of c and B - low b_c (see _splits).
+    k_c members of c and B - low b_c; for the class of S's lowest vertex
+    that is C(k - 1, b - 1) in the class's own counts. The loop then
+    weighs B's product by that number and maps S - B to its canonical
+    set. Otherwise every block and every rest is canonical and weighs 1,
+    and a block pays for the twins only the tests of `held`.
     """
     part = component_mask(g, mask)
     if part != mask:
@@ -528,34 +516,68 @@ def _forests(mask: int, several: int, g: Graph, twins: _Twins, memo: dict[int, i
         return total
     held = _held(mask, twins) if mask & twins.twinned else None
     total = 0
-    if not held:
-        # S - low holds at most the lowest member of each class: every
-        # connected block and every rest is canonical, and weighs 1. This
-        # is the weighted loop below less its mapping, kept apart because
-        # it is the whole loop of a graph with no twins.
-        for first in _first_blocks(g, mask):
-            others = memo.get(mask ^ first)
-            if others is None:
-                others = _forests(mask ^ first, several, g, twins, memo)
-            if others:
-                trees = memo.get(first)
-                if trees is None:
-                    trees = _forests(first, several, g, twins, memo)
-                total += trees * others
-    else:
-        for first, rest, ways in _splits(g, mask, twins, held):
-            others = memo.get(rest)
-            if others is None:
-                others = _forests(rest, several, g, twins, memo)
-            if others:
-                trees = memo.get(first)
-                if trees is None:
-                    trees = _forests(first, several, g, twins, memo)
-                total += ways * trees * others
+    for first in _first_blocks(g, mask, twins.twinned, twins.keep):
+        rest = mask ^ first
+        if held is not None:
+            ways = 1
+            for members, prefixes, k in held:
+                b = (first & members).bit_count()
+                ways *= comb(k, b)
+                rest ^= (rest & members) ^ prefixes[k - b]
+        others = memo.get(rest)
+        if others is None:
+            others = _forests(rest, several, g, twins, memo)
+        if others:
+            trees = memo.get(first)
+            if trees is None:
+                trees = _forests(first, several, g, twins, memo)
+            total += (trees if held is None else ways * trees) * others
     if several:
         # the lowest vertex alone, once more
-        total += memo[_canonical(mask & (mask - 1), twins) if held else mask & (mask - 1)]
+        total += memo[mask & (mask - 1) if held is None else _canonical(mask & (mask - 1), twins)]
     memo[mask] = total
+    return total
+
+
+def count_level_assignments(t: AssemblyTree) -> int:
+    """Number of time stampings that turn t into a valid timed tree.
+
+    Counted as count_timed_trees counts, through stampings that may leave
+    times empty: E_m(v) counts those of v's subtree at times at most m. A
+    leaf sits at time 0, so E_m = 1 at every level, and an internal node at
+    some time k <= m over children stamped below k, so E_m(v) sums, over k
+    <= m, the product of its children's E_(k-1). A gapless stamping of t
+    occupies at most as many times past 0 as t has internal nodes, so that
+    many levels plus one serve, and the count depends only on t's shape.
+    _gapless then takes the gapless stampings from the root's levels, as
+    it takes the timed trees in count_timed_trees. The work is the number
+    of nodes times the number of levels, however wide t is.
+    """
+    size = sum(1 for node in t.walk() if node.children) + 1
+    return _gapless(_levels(t, (1,) * size))
+
+
+def _levels(t: AssemblyTree, ones: tuple[int, ...]) -> tuple[int, ...]:
+    """(E_0, ..., E_(len(ones) - 1)) of t's subtree, as in
+    count_level_assignments; `ones` is a leaf's levels."""
+    if not t.children:
+        return ones
+    products = map(prod, zip(*[_levels(c, ones) for c in t.children]))
+    return tuple(accumulate(products, initial=0))[: len(ones)]
+
+
+def _gapless(levels: tuple[int, ...]) -> int:
+    """The stampings that occupy every time 0..j for some j, from the
+    levels E_0.. of those that may leave times empty. A stamping at times
+    at most m with j times past 0 occupied comes from a gapless one of j
+    steps in C(m, j) ways, so E_m sums C(m, j) G_j over j, and inverted,
+    G_j, the gapless ones of j steps, is the j-th forward difference of E
+    at 0 (the zeta polynomial of Stanley's Enumerative Combinatorics I,
+    3.12). `levels` must reach the most steps a stamping can take."""
+    total = 0
+    while levels:
+        total += levels[0]
+        levels = [*map(sub, levels[1:], levels)]
     return total
 
 
@@ -591,34 +613,11 @@ def _rounds(child_masks: list[int], placed: int) -> Iterator[int]:
             yield pick
 
 
-def count_level_assignments(t: AssemblyTree) -> int:
-    """Number of time stampings that turn t into a valid timed tree.
-
-    Internal nodes are stamped in rounds: a node becomes ready once all of
-    its internal children are stamped, and each round stamps a nonempty
-    subset of the ready nodes with the next time value. The count is the
-    number of distinct round sequences, found by dynamic programming over
-    the set of already-stamped nodes.
-    """
-    _, child_masks = _internal_index(t)
-    return _round_sequences(child_masks, 0, {(1 << len(child_masks)) - 1: 1})
-
-
-def _round_sequences(child_masks: list[int], placed: int, memo: dict[int, int]) -> int:
-    """The round sequences that stamp the nodes not in `placed`; `memo`
-    holds 1 for the set of all nodes from the start."""
-    cached = memo.get(placed)
-    if cached is None:
-        cached = memo[placed] = sum(
-            _round_sequences(child_masks, placed | pick, memo)
-            for pick in _rounds(child_masks, placed)
-        )
-    return cached
-
-
 def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
-    """t under each of its valid time stampings, lazily, in the round
-    order of count_level_assignments."""
+    """t under each of its valid time stampings, lazily. Internal nodes
+    are stamped in rounds: a node is ready once its internal children are
+    stamped, and each round stamps a nonempty subset of the ready nodes
+    at the next time."""
     order, child_masks = _internal_index(t)
     stamped = {
         node.label: AssemblyTree(node.label, time=0) for node in t.walk() if not node.children
@@ -670,12 +669,10 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     Chains are counted through multichains, which may also idle: E_m(V)
     counts the m-step multichains from the singletons to the one block V,
     and a multichain is a strict chain of j steps with m - j idle steps
-    put in, C(m, j) ways. So the strict chains of j steps number the sum
-    over m <= j of (-1)^(j - m) C(j, m) E_m(V) (the zeta polynomial of
-    Stanley's Enumerative Combinatorics I, 3.12), and a chain has at most
-    n - 1 steps. The levels E_0..E_(n-1) of every vertex set come from
-    one memoized recursion over canonical subsets (see _multichains), as
-    in count_trees, so K_n enters n - 1 sets. Default cap COUNTING_LIMIT.
+    put in, C(m, j) ways, which _gapless inverts. A chain has at most n -
+    1 steps. The levels E_0..E_(n-1) of every vertex set come from one
+    memoized recursion over canonical subsets (see _multichains), as in
+    count_trees, so K_n enters n - 1 sets. Default cap COUNTING_LIMIT.
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
     several = int(most > 2)
@@ -683,12 +680,7 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     memo = {1 << v: (1,) * n for v in range(n)}  # one block at every level
     memo[0] = ()  # counts 0, so that a set is never its own first block
     full = g.full_mask()
-    chains = memo.get(full) or _multichains(full, several, g, _twin_classes(g), memo)
-    return sum(
-        (-1) ** (j - m) * binomial(j, m) * e
-        for j in range(n)
-        for m, e in enumerate(chains[: j + 1])
-    )
+    return _gapless(memo.get(full) or _multichains(full, several, g, _twin_classes(g), memo))
 
 
 def _multichains(
@@ -713,10 +705,10 @@ def _multichains(
     components of S - B as in _forests. Under bound 2 the rest is one
     block, so the factor is E_(m-1)(S - B), and () when S - B falls apart.
 
-    The blocks B come from _first_blocks, canonical and weighed by the
-    blocks they stand for as in _forests, and each (S, B) pair adds its
-    products for every level at once; a prefix sum over the levels then
-    gives E(S).
+    One loop takes the blocks B from _first_blocks, weighs each by the
+    blocks it stands for and maps its rest to a canonical set, as in
+    _forests, and each (S, B) pair adds its products for every level at
+    once; a prefix sum over the levels then gives E(S).
     """
     part = component_mask(g, mask)
     if part != mask:
@@ -736,28 +728,24 @@ def _multichains(
         return levels
     held = _held(mask, twins) if mask & twins.twinned else None
     terms = []
-    if not held:
-        # Every connected block and every rest is canonical, as in _forests.
-        for first in _first_blocks(g, mask):
-            others = memo.get(mask ^ first)
-            if others is None:
-                others = _multichains(mask ^ first, several, g, twins, memo)
-            if others:
-                chains = memo.get(first)
-                if chains is None:
-                    chains = _multichains(first, several, g, twins, memo)
-                # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
-                terms.append(map(mul, chains, others[several:]))
-    else:
-        for first, rest, ways in _splits(g, mask, twins, held):
-            others = memo.get(rest)
-            if others is None:
-                others = _multichains(rest, several, g, twins, memo)
-            if others:
-                chains = memo.get(first)
-                if chains is None:
-                    chains = _multichains(first, several, g, twins, memo)
-                terms.append(map(ways.__mul__, map(mul, chains, others[several:])))
+    for first in _first_blocks(g, mask, twins.twinned, twins.keep):
+        rest = mask ^ first
+        if held is not None:
+            ways = 1
+            for members, prefixes, k in held:
+                b = (first & members).bit_count()
+                ways *= comb(k, b)
+                rest ^= (rest & members) ^ prefixes[k - b]
+        others = memo.get(rest)
+        if others is None:
+            others = _multichains(rest, several, g, twins, memo)
+        if others:
+            chains = memo.get(first)
+            if chains is None:
+                chains = _multichains(first, several, g, twins, memo)
+            # E_m(S - B) with no bound, E_(m-1)(S - B) under bound 2
+            products = map(mul, chains, others[several:])
+            terms.append(products if held is None else map(ways.__mul__, products))
     # Under bound 2 the products run one level past E_(n-1).
     levels = tuple(accumulate(map(sum, zip(*terms)), initial=0))[: len(memo[mask & -mask])]
     memo[mask] = levels

@@ -692,6 +692,28 @@ def test_level_assignment_counts_by_hand():
     assert count_level_assignments(leaf(1)) == 1
 
 
+def test_level_assignments_of_wide_and_deep_trees():
+    # A root over k cherries: the cherries take an ordered set partition
+    # of themselves, fubini(k) ways. A count over sets of stamped internal
+    # nodes would step all 2^k sets of cherries.
+    def cherries(k):
+        return branch([branch([leaf(2 * i + 1), leaf(2 * i + 2)]) for i in range(k)])
+
+    def perfect(low, leaves):
+        if leaves == 1:
+            return leaf(low)
+        half = leaves // 2
+        return branch([perfect(low, half), perfect(low + half, half)])
+
+    start = time.perf_counter()
+    for k in (16, 20, 32):
+        assert count_level_assignments(cherries(k)) == fubini(k)
+    assert time.perf_counter() - start < 1
+    # pinned by the count over sets of internal nodes
+    assert count_level_assignments(perfect(1, 16)) == 1323338487
+    assert count_level_assignments(perfect(1, 64)) > 0
+
+
 def test_level_assignments_match_brute_force():
     for t in all_assembly_trees(range(1, 6)):
         assert count_level_assignments(from_oracle(t)) == count_timings_by_listing(t)
@@ -1200,6 +1222,25 @@ def test_counts_memoise_canonical_sets_only(monkeypatch):
                 assert timed == sum(map(count_level_assignments, trees))
 
 
+def test_twin_classes_count_as_a_graph_without_them(monkeypatch):
+    # The weighted blocks and canonical rests against the plain recursion
+    # over every set, past the reach of enumeration: with an empty class
+    # table no set holds twins, and no block or rest is mapped.
+    rng = random.Random(28)
+    graphs = twin_rich_graphs() + [
+        g for g in (blown_up(rng, 10) for _ in range(20)) if connected_mask(g, g.full_mask())
+    ]
+    counts = [
+        (count_trees(g, rule), count_timed_trees(g, rule)) for g in graphs for rule in RULES
+    ]
+    monkeypatch.setattr(
+        assembly, "_twin_classes", lambda g: assembly._Twins(0, (0,) * (g.n + 1), ())
+    )
+    assert counts == [
+        (count_trees(g, rule), count_timed_trees(g, rule)) for g in graphs for rule in RULES
+    ]
+
+
 def test_twin_rich_counts_at_the_counting_cap():
     # Stars by their closed forms; K8,8 and K16 less an edge pinned by
     # the subset recursion before twin classes, which took up to a minute
@@ -1270,6 +1311,44 @@ def test_census_of_small_connected_graphs():
                 if n <= 4:
                     assert count == count_trees_by_listing(n, g.edges, rule)
                     assert timed == len(list(enumerate_timed_trees(g, rule)))
+
+
+def connected_graphs_up_to_isomorphism(most):
+    """The connected graphs on 1..most vertices, one edge list per
+    isomorphism class, keyed by size. Every connected graph has a vertex
+    whose removal leaves it connected, so each grows from a smaller one
+    by a vertex joined to some of the others; a graph's canonical form is
+    the least sorted edge list over all numberings of its vertices."""
+    def canonical(n, edges):
+        return min(
+            tuple(sorted(tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges))
+            for p in itertools.permutations(range(1, n + 1))
+        )
+
+    classes = {1: [()]}
+    for n in range(2, most + 1):
+        grown = set()
+        for edges in classes[n - 1]:
+            for joined in itertools.product((False, True), repeat=n - 1):
+                if any(joined):
+                    new = [(v, n) for v, j in enumerate(joined, 1) if j]
+                    grown.add(canonical(n, [*edges, *new]))
+        classes[n] = sorted(grown)
+    return classes
+
+
+def test_census_up_to_isomorphism():
+    # One graph of each connected class on 1..5 vertices (OEIS A001349).
+    # On 5 vertices, under every rule, the timed trees enumerated are the
+    # timed count and the stampings summed over the trees enumerated.
+    classes = connected_graphs_up_to_isomorphism(5)
+    assert [len(classes[n]) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    for edges in classes[5]:
+        g = Graph(5, edges)
+        for rule in RULES:
+            timed = len(list(enumerate_timed_trees(g, rule)))
+            assert timed == count_timed_trees(g, rule)
+            assert timed == sum(map(count_level_assignments, enumerate_trees(g, rule)))
 
 
 def test_plain_counts_where_only_some_subsets_are_cliques():
