@@ -171,16 +171,6 @@ def branch(children: Iterable[AssemblyTree], time: int | None = None) -> Assembl
 timed_branch = branch
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, ascending, starting at 0 and ending at mask."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 class _Twins(NamedTuple):
     """A graph's twin classes as the subset recursion reads them.
 
@@ -581,47 +571,21 @@ def _gapless(levels: tuple[int, ...]) -> int:
     return total
 
 
-def _internal_index(t: AssemblyTree) -> tuple[list[AssemblyTree], list[int]]:
-    """Internal nodes of t in preorder, plus for each one the bit mask of
-    its internal children's indices."""
-    order: list[AssemblyTree] = []
-    index: dict[frozenset[int], int] = {}
-    for node in t.walk():
-        if node.children:
-            index[node.label] = len(order)
-            order.append(node)
-    masks = []
-    for node in order:
-        m = 0
-        for child in node.children:
-            if child.children:
-                m |= 1 << index[child.label]
-        masks.append(m)
-    return order, masks
-
-
-def _rounds(child_masks: list[int], placed: int) -> Iterator[int]:
-    """The rounds that can follow once the nodes in `placed` are stamped:
-    every nonempty subset of the nodes whose internal children are all
-    stamped."""
-    ready = 0
-    for i, m in enumerate(child_masks):
-        if not placed >> i & 1 and m & ~placed == 0:
-            ready |= 1 << i
-    for pick in _submasks(ready):
-        if pick:
-            yield pick
-
-
 def _stampings(t: AssemblyTree) -> Iterator[AssemblyTree]:
     """t under each of its valid time stampings, lazily. Internal nodes
     are stamped in rounds: a node is ready once its internal children are
     stamped, and each round stamps a nonempty subset of the ready nodes
-    at the next time."""
-    order, child_masks = _internal_index(t)
-    stamped = {
-        node.label: AssemblyTree(node.label, time=0) for node in t.walk() if not node.children
-    }
+    at the next time. One preorder walk lists the internal nodes, node i
+    at bit i, and stamps the leaves at time 0; each internal node then
+    gets the mask of its internal children."""
+    order, stamped = [], {}
+    for node in t.walk():
+        if node.children:
+            order.append(node)
+        else:
+            stamped[node.label] = AssemblyTree(node.label, time=0)
+    bits = {node.label: 1 << i for i, node in enumerate(order)}
+    child_masks = [sum(bits.get(c.label, 0) for c in node.children) for node in order]
     return _stamp(t.label, order, child_masks, stamped, 0, 1)
 
 
@@ -630,14 +594,22 @@ def _stamp(
     stamped: dict[frozenset[int], AssemblyTree], placed: int, time: int,
 ) -> Iterator[AssemblyTree]:
     """_stampings once the nodes in `placed` are stamped and the next
-    round is at `time`. Each round builds its picked nodes over their
-    children's stamped forms, which earlier rounds have placed in
-    `stamped`; a node is overwritten only by a later branch that places it
-    again."""
-    if placed == (1 << len(order)) - 1:
+    round is at `time`. The rounds that can come next are the nonempty
+    submasks of the ready nodes, stepped in ascending order; none are
+    ready once every node is placed. Each round builds its picked nodes
+    over their children's stamped forms, which earlier rounds have placed
+    in `stamped`; a node is overwritten only by a later branch that
+    places it again."""
+    ready = 0
+    for i, m in enumerate(child_masks):
+        if not placed >> i & 1 and m & ~placed == 0:
+            ready |= 1 << i
+    if not ready:
         yield stamped[root]
         return
-    for pick in _rounds(child_masks, placed):
+    pick = 0
+    while pick != ready:
+        pick = (pick - ready) & ready
         for i in iter_bits(pick):
             node = order[i - 1]
             kids = tuple([stamped[c.label] for c in node.children])
@@ -648,9 +620,10 @@ def _stamp(
 def enumerate_timed_trees(
     g: Graph, rule: GluingRule | str, *, limit: int | None = None
 ) -> Iterator[AssemblyTree]:
-    """Yield every timed assembly tree once: every plain tree combined
-    with each of its valid time stampings. Deterministic order; same cap
-    as enumerate_trees."""
+    """Yield every timed assembly tree once: each plain tree, in
+    enumerate_trees' order, under each of its valid time stampings, in
+    _stampings' order, where a round's pick comes before every pick of a
+    larger mask. Deterministic order; same cap as enumerate_trees."""
     for t in enumerate_trees(g, rule, limit=limit):
         yield from _stampings(t)
 

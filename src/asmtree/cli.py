@@ -504,7 +504,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
     terms = [
         (index, expected)
         for index, expected in sorted(_read_bfile(_resolve_bfile(args.bfile)))
-        if entry.min_n <= index + args.offset
+        if _SEQUENCES[args.family] <= index + args.offset
         and (args.n_max is None or index + args.offset <= args.n_max)
     ]
     if not terms:

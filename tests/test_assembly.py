@@ -270,6 +270,22 @@ def test_timed_streams_are_pinned():
     assert stream_digest(p8) == P8_CONNECTED_TIMED_FIRST_20000
 
 
+WIDE_TIMED = (4683, "73220a2cbbe5bc1b33484c508e2d9d975fe9e5e2398d64457860d93952cef26f")
+
+
+def test_stampings_of_a_wide_tree_are_pinned():
+    # A root over six cherries has six nodes ready in its first round, so
+    # that round steps all 63 nonempty subsets of them; the family graphs
+    # of the digests above have few nodes ready at once. Taken when the
+    # preorder table and the ready set came from helpers of their own.
+    wide = branch([branch([leaf(2 * i + 1), leaf(2 * i + 2)]) for i in range(6)])
+    stamped = list(assembly._stampings(wide))
+    assert stream_digest(stamped) == WIDE_TIMED
+    assert len(set(stamped)) == fubini(6) == count_level_assignments(wide)
+    k12 = complete(12)
+    assert all(t.untimed() == wide and validate(k12, t, "none") for t in stamped)
+
+
 def test_streams_are_unchanged_when_little_is_kept(monkeypatch):
     # With a tiny keep bound nearly every pool is built again for each
     # choice of trees on the blocks before it.
@@ -1349,6 +1365,33 @@ def test_census_up_to_isomorphism():
             timed = len(list(enumerate_timed_trees(g, rule)))
             assert timed == count_timed_trees(g, rule)
             assert timed == sum(map(count_level_assignments, enumerate_trees(g, rule)))
+
+
+def test_census_of_six_vertex_graphs_up_to_isomorphism():
+    # One graph of each of the 112 connected classes on 6 vertices (OEIS
+    # A001349), under `connected` and `edge`: the trees enumerated are the
+    # count, and the timed trees enumerated are the timed count and the
+    # stampings summed over the trees. `none` runs on K6 for every graph,
+    # so it is checked once.
+    def streamed(g, rule):
+        trees = stampings = 0
+        for t in enumerate_trees(g, rule):
+            trees += 1
+            stampings += count_level_assignments(t)
+        assert trees == count_trees(g, rule)
+        timed = sum(1 for _ in enumerate_timed_trees(g, rule))
+        assert timed == stampings == count_timed_trees(g, rule)
+        return trees, timed
+
+    classes = connected_graphs_up_to_isomorphism(6)[6]
+    assert len(classes) == 112
+    assert streamed(Graph(6, classes[0]), "none") == (
+        connected_complete(6), td_connected_complete(6)
+    )
+    totals = [
+        streamed(Graph(6, edges), rule) for edges in classes for rule in ("connected", "edge")
+    ]
+    assert [sum(column) for column in zip(*totals)] == [152533, 432143]
 
 
 def test_plain_counts_where_only_some_subsets_are_cliques():

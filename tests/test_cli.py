@@ -922,6 +922,18 @@ def test_oeis_n_max_limits_the_comparison(capsys):
     assert out.splitlines()[-1] == "PASS (5 terms)"
 
 
+def test_oeis_compares_only_the_family_domain(capsys, tmp_path):
+    # The timed cycle formulas run from n = 1, but a cycle needs 3
+    # vertices: `count` refuses n = 1 and 2, so `oeis` skips them too.
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 1\n2 1\n3 4\n4 23\n")
+    code, out, err = run_cli(
+        capsys, *oeis_args(str(bfile), "cycle", "connected", 0, "--timed")
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["3\t4\t4\tok", "4\t23\t23\tok", "PASS (2 terms)"]
+
+
 def test_oeis_error_cases(capsys, tmp_path):
     short = tmp_path / "short.txt"
     short.write_text("0 1\n1\n")
