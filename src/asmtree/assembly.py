@@ -41,7 +41,6 @@ is a separate code path against the definition so it can audit either.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from itertools import accumulate, chain, count, islice, product
 from math import comb, prod
@@ -51,6 +50,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .graph import (
     MAX_VERTICES,
     Graph,
+    _load_json,
     complete,
     component_mask,
     connected_mask,
@@ -905,14 +905,9 @@ def _to_json(t: AssemblyTree) -> str:
 
 
 def parse_tree(text: str) -> AssemblyTree:
-    """Inverse of serialize_tree(..., "json")."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError("tree JSON nests too deeply") from None
-    return tree_from_dict(data)
+    """Inverse of serialize_tree(..., "json"). Malformed input, including
+    text nested too deeply for json to read, raises ValueError."""
+    return tree_from_dict(_load_json(text, "tree"))
 
 
 def _to_dot(t: AssemblyTree) -> str:

@@ -172,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -317,7 +314,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         min_n = _SEQUENCES[args.family]
         n = _required_n(args)
         if n < min_n:
-            raise ValueError(f"family {args.family} needs at least {min_n} vertices, got --n {n}")
+            vertices = "1 vertex" if min_n == 1 else f"{min_n} vertices"
+            raise ValueError(f"family {args.family} needs at least {vertices}, got --n {n}")
 
     # A custom graph is read once; its canonical form is part of the key.
     g = _build_graph(args) if args.family == "custom" else None
@@ -508,7 +506,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         and (args.n_max is None or index + args.offset <= args.n_max)
     ]
     if not terms:
-        raise ValueError("no overlapping terms between the b-file and the formula domain")
+        raise ValueError("no overlapping terms between the b-file and the family's domain")
     _check_formula_n(terms[-1][0] + args.offset)
     for index, expected in terms:
         got = entry.fn(index + args.offset)

@@ -13,12 +13,7 @@ import math
 from functools import wraps
 from typing import Callable
 
-
-def factorial(n: int) -> int:
-    """n!; rejects negative n."""
-    if n < 0:
-        raise ValueError(f"factorial is undefined for n={n}")
-    return math.factorial(n)
+factorial = math.factorial  # n!; rejects negative n
 
 
 def memo_upward(first: int) -> Callable[[Callable], Callable]:

@@ -141,15 +141,9 @@ def connected_complete(n: int, k: int) -> int:
     return binomial(n - 1, k - 1) * _forests(connected_complete, n - k)
 
 
-def td_connected_star(total: int) -> int:
-    """Timed connected-rule trees of the star on `total` vertices.
-
-    Time steps order the leaf groups, so timing adds nothing beyond the
-    plain count: fubini(total - 1) again.
-    """
-    if total < 2:
-        raise ValueError("stars need at least 2 vertices")
-    return fubini(total - 1)
+# Timed connected-rule trees of the star: time steps order the leaf groups
+# as the plain trees already do, so timing adds nothing on a star.
+td_connected_star = connected_star
 
 
 def td_connected_path(n: int) -> int:
@@ -212,25 +206,26 @@ def td_edge_complete(n: int, j: int) -> int:
 
 
 class SequenceFormula(NamedTuple):
-    """A closed form for one (family, rule, timed) combination."""
+    """A closed form for one (family, rule, timed) combination. `fn`
+    refuses an n below the graph's domain; the CLI states each family's
+    smallest n."""
 
     fn: Callable[[int], int]
-    min_n: int
 
 
 _FORMULAS: dict[tuple[str, str, bool], SequenceFormula] = {
-    ("star", "connected", False): SequenceFormula(connected_star, 2),
-    ("path", "connected", False): SequenceFormula(connected_path, 1),
-    ("cycle", "connected", False): SequenceFormula(connected_cycle, 3),
-    ("complete", "connected", False): SequenceFormula(connected_complete, 1),
-    ("star", "connected", True): SequenceFormula(td_connected_star, 2),
-    ("path", "connected", True): SequenceFormula(td_connected_path, 1),
-    ("cycle", "connected", True): SequenceFormula(td_connected_cycle, 1),
-    ("complete", "connected", True): SequenceFormula(td_connected_complete, 1),
-    ("star", "edge", True): SequenceFormula(td_edge_star, 2),
-    ("path", "edge", True): SequenceFormula(td_edge_path, 1),
-    ("cycle", "edge", True): SequenceFormula(td_edge_cycle, 1),
-    ("complete", "edge", True): SequenceFormula(td_edge_complete, 1),
+    ("star", "connected", False): SequenceFormula(connected_star),
+    ("path", "connected", False): SequenceFormula(connected_path),
+    ("cycle", "connected", False): SequenceFormula(connected_cycle),
+    ("complete", "connected", False): SequenceFormula(connected_complete),
+    ("star", "connected", True): SequenceFormula(td_connected_star),
+    ("path", "connected", True): SequenceFormula(td_connected_path),
+    ("cycle", "connected", True): SequenceFormula(td_connected_cycle),
+    ("complete", "connected", True): SequenceFormula(td_connected_complete),
+    ("star", "edge", True): SequenceFormula(td_edge_star),
+    ("path", "edge", True): SequenceFormula(td_edge_path),
+    ("cycle", "edge", True): SequenceFormula(td_edge_cycle),
+    ("complete", "edge", True): SequenceFormula(td_edge_complete),
 }
 
 
@@ -239,5 +234,7 @@ def formula_for(family: str, rule: str, timed: bool) -> SequenceFormula | None:
 
     Plain edge-rule counts and everything under rule "none" have no entry
     here on purpose: those are served by the enumeration-backed counters.
+    An entry holds its function only; `cli._SEQUENCES` states each
+    family's smallest n.
     """
     return _FORMULAS.get((family, rule, bool(timed)))

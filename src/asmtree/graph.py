@@ -190,12 +190,22 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}, separators=(",", ":"))
 
 
-def graph_from_json(text: str) -> Graph:
-    """Inverse of graph_to_json. Malformed input raises ValueError."""
+def _load_json(text: str, what: str) -> object:
+    """json.loads, refusing bad syntax and text nested past json's reach
+    with a one-line ValueError; `what` names the document ("graph" or
+    "tree")."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} JSON nests too deeply") from None
+
+
+def graph_from_json(text: str) -> Graph:
+    """Inverse of graph_to_json. Malformed input, including text nested
+    too deeply for json to read, raises ValueError."""
+    data = _load_json(text, "graph")
     # type(x) is int, not isinstance: JSON true and false load as bools,
     # which are ints to isinstance.
     if not isinstance(data, dict) or type(data.get("n")) is not int:

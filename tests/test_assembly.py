@@ -1617,7 +1617,7 @@ def test_parse_tree_rejects_malformed_input():
         ),
         # nested past what json.loads can recurse through
         ("[" * 100000 + "]" * 100000, "tree JSON nests too deeply"),
-        ('{"label":[1],"children":[' * 3000 + "]}" * 3000, "tree JSON nests too deeply"),
+        ('{"label":[1],"children":[' * 100000 + "]}" * 100000, "tree JSON nests too deeply"),
         # deeper than any tree on at most 64 vertices
         ('{"label":[1],"children":[' * 64 + '{"label":[1]}' + "]}" * 64, "tree nests deeper than 63 levels"),
     ]
@@ -1731,3 +1731,8 @@ def test_timed_validation_matches_the_definition():
                     shape_ok = rule_ok(t, edges, rule)
                     for tree, timed_ok in stampings:
                         assert validate(g, tree, rule) == (shape_ok and timed_ok)
+
+
+def test_parse_tree_refuses_a_child_that_is_not_an_object():
+    with pytest.raises(ValueError, match="^every tree node must be an object$"):
+        parse_tree('{"label":[1,2],"children":[1,2]}')

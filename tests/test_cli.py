@@ -152,7 +152,7 @@ def test_closed_forms_stop_at_the_formula_limit(capsys, monkeypatch, tmp_path):
             evaluated.append(n)
             return entry.fn(n)
 
-        return SequenceFormula(fn, entry.min_n)
+        return SequenceFormula(fn)
 
     monkeypatch.setattr(cli.formulas, "formula_for", watched)
     bfile = tmp_path / "b.txt"
@@ -177,7 +177,7 @@ def test_counts_print_in_full_past_the_int_string_cap(capsys, monkeypatch, tmp_p
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     huge = "1" + "0" * 4999 + "1"  # 10**5000 + 1, written without str(int)
     monkeypatch.setattr(
-        cli.formulas, "formula_for", lambda *_: SequenceFormula(lambda n: 10**5000 + 1, 1)
+        cli.formulas, "formula_for", lambda *_: SequenceFormula(lambda n: 10**5000 + 1)
     )
     bfile = tmp_path / "b.txt"
     bfile.write_text(f"3 {huge}\n")
@@ -270,6 +270,47 @@ def test_count_refuses_n_below_the_family_domain(capsys, monkeypatch, isolated_e
     assert not (isolated_env / "cache" / "counts.txt").exists()
 
 
+def test_count_says_1_vertex_in_the_singular(capsys):
+    for family in ("path", "complete"):
+        for rule in ("none", "connected", "edge"):
+            for timed in ([], ["--timed"]):
+                for method in ([], ["--method", "formula"], ["--method", "enumerate"],
+                               ["--method", "both"]):
+                    code, out, err = run_cli(
+                        capsys,
+                        "count", "--family", family, "--rule", rule, *timed, "--n", "0",
+                        *method, "--no-banner", "--no-cache",
+                    )
+                    if err.startswith("error: no closed form"):
+                        continue  # refused for its method first
+                    assert (code, out) == (2, "")
+                    assert err == f"error: family {family} needs at least 1 vertex, got --n 0\n"
+
+
+def test_graph_files_nested_too_deeply_are_refused_in_one_line(capsys, tmp_path):
+    for i, text in enumerate(("[" * 100000, '{"n": 3, "edges": ' + "[" * 100000)):
+        gf = tmp_path / f"deep{i}.json"
+        gf.write_text(text)
+        for command in ("count", "trees"):
+            code, out, err = run_cli(
+                capsys,
+                command, "--family", "custom", "--graph-file", str(gf),
+                "--rule", "connected", "--no-banner", "--no-cache",
+            )
+            assert (code, out, err) == (2, "", "error: graph JSON nests too deeply\n")
+
+
+def test_counts_are_cached_under_home_by_default(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("ASMTREE_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    code, out, _ = run_cli(
+        capsys, "count", "--family", "path", "--rule", "connected", "--n", "4", "--no-banner"
+    )
+    assert (code, out) == (0, "11\n")
+    stored = (tmp_path / "home" / ".cache" / "asmtree" / "counts.txt").read_text()
+    assert stored.endswith("family=path rule=connected timed=0 method=formula n=4\t11\n")
+
+
 def test_count_rejects_json_booleans_in_a_graph_file(capsys, tmp_path):
     for i, text in enumerate(
         ['{"n": true, "edges": []}', '{"n": 2, "edges": [[true, 2]]}']
@@ -360,7 +401,7 @@ def test_count_cross_check_catches_a_wrong_formula(capsys, monkeypatch):
 
     def sabotaged(family, rule, timed):
         if (family, rule, timed) == ("path", "connected", False):
-            return SequenceFormula(lambda n: 999, 1)
+            return SequenceFormula(lambda n: 999)
         return real(family, rule, timed)
 
     monkeypatch.setattr(cli.formulas, "formula_for", sabotaged)

@@ -260,7 +260,6 @@ def test_formula_registry_contents():
         entry = formula_for(family, rule, timed)
         assert entry is not None
         assert entry.fn is fn
-        assert entry.min_n == min_n
         with pytest.raises(ValueError):  # the CLI relies on this
             fn(min_n - 1)
 

@@ -256,3 +256,17 @@ def test_json_rejects_malformed_input():
     ]:
         with pytest.raises(ValueError):
             graph_from_json(text)
+
+
+def test_json_refuses_text_nested_too_deeply_in_one_line():
+    # json.loads raises RecursionError this deep on every supported Python
+    for text in ("[" * 100000, '{"n": 3, "edges": ' + "[" * 100000):
+        with pytest.raises(ValueError, match=r"^graph JSON nests too deeply$"):
+            graph_from_json(text)
+
+
+def test_graph_repr_and_equality_with_other_types():
+    assert repr(path(3)) == "Graph(n=3, edges=[(1, 2), (2, 3)])"
+    assert repr(Graph(1)) == "Graph(n=1, edges=[])"
+    assert path(3) != "x"
+    assert not path(3) == "x"

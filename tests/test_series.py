@@ -299,3 +299,25 @@ def test_dump_coefficients():
         == "0\t1\n1\t1/2\n2\t3"
     )
     assert dump_coefficients(PowerSeries([Fraction(-2, 4)])) == "0\t-1/2"
+
+
+def test_repr_shows_six_coefficients_and_the_order():
+    assert repr(PowerSeries([1, 2, 3, 4, 5, 6, 7])) == (
+        "PowerSeries([1, 2, 3, 4, 5, 6, ...], order=6)"
+    )
+    assert repr(PowerSeries([1])) == "PowerSeries([1], order=0)"
+    assert repr(PowerSeries([Fraction(1, 2), 3])) == "PowerSeries([1/2, 3], order=1)"
+
+
+def test_arithmetic_with_a_non_number_is_refused():
+    ps = PowerSeries([1, 2, 3])
+    for op in (
+        lambda: ps + "a",
+        lambda: "a" - ps,
+        lambda: ps - "a",
+        lambda: ps * None,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert (ps == "a") is False
+    assert ps != "a"
