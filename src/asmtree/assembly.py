@@ -736,6 +736,8 @@ def frontier_partition(t: AssemblyTree, j: int) -> frozenset[frozenset[int]]:
     stack = [t]
     while stack:
         node = stack.pop()
+        if node.time is None:
+            raise ValueError("timed and untimed nodes cannot mix")
         if node.time <= j:
             # Descendants are strictly earlier, hence never maximal.
             blocks.append(node.label)

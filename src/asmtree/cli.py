@@ -205,8 +205,13 @@ def _build_graph(args: argparse.Namespace) -> Graph:
 
 
 def _required_n(args: argparse.Namespace) -> int:
+    """The --n of a sequence family, refused below the family's domain."""
     if args.n is None:
         raise ValueError(f"--n is required for family {args.family}")
+    min_n = _SEQUENCES[args.family]
+    if args.n < min_n:
+        vertices = "1 vertex" if min_n == 1 else f"{min_n} vertices"
+        raise ValueError(f"family {args.family} needs at least {vertices}, got --n {args.n}")
     return args.n
 
 
@@ -311,11 +316,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.family in _SEQUENCES:
         # Every method refuses an n below the family's domain, before a
         # closed form runs or the cache is read.
-        min_n = _SEQUENCES[args.family]
-        n = _required_n(args)
-        if n < min_n:
-            vertices = "1 vertex" if min_n == 1 else f"{min_n} vertices"
-            raise ValueError(f"family {args.family} needs at least {vertices}, got --n {n}")
+        _required_n(args)
 
     # A custom graph is read once; its canonical form is part of the key.
     g = _build_graph(args) if args.family == "custom" else None

@@ -23,22 +23,11 @@ Scalar = Union[int, Fraction]
 
 
 def _product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Terms 0..n of the product of two integer coefficient sequences.
-
-    The outer loop visits the nonzero terms of the operand with fewer of
-    them; each visit adds a multiple of the other operand, up to its last
-    nonzero term, in one pass that runs in C.
-    """
-    ta = [(i, c) for i, c in enumerate(a[: n + 1]) if c]
-    tb = [(j, c) for j, c in enumerate(b[: n + 1]) if c]
-    if len(ta) > len(tb):
-        ta, tb, b = tb, ta, a
-    out = [0] * (n + 1)
-    width = tb[-1][0] + 1 if tb else 0
-    for i, c in ta:
-        end = min(n + 1, i + width)
-        out[i:end] = map(add, out[i:end], map(c.__mul__, b[: end - i]))
-    return out
+    """Terms 0..n of the product of two integer coefficient sequences,
+    each a dot product summed in C. Zero terms are not skipped: that saved
+    about a millisecond at order 120 and nothing on the dense products
+    that dominate at high order."""
+    return [sum(map(mul, a[: k + 1], reversed(b[: k + 1]))) for k in range(n + 1)]
 
 
 def _lowest(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:

@@ -923,6 +923,10 @@ def test_two_wing_example_frontiers():
         frontier_partition(t, -1)
     with pytest.raises(ValueError, match="untimed tree"):
         frontier_partition(branch([leaf(1), leaf(2)]), 0)
+    # A tree built past branch's checks mixes an untimed leaf under a timed root.
+    mixed = AssemblyTree(fs({1, 2}), (leaf(1), timed_leaf(2)), 1)
+    with pytest.raises(ValueError, match="timed and untimed nodes cannot mix"):
+        frontier_partition(mixed, 0)
 
 
 def test_frontier_invariants():
@@ -1356,7 +1360,8 @@ def connected_graphs_up_to_isomorphism(most):
 def test_census_up_to_isomorphism():
     # One graph of each connected class on 1..5 vertices (OEIS A001349).
     # On 5 vertices, under every rule, the timed trees enumerated are the
-    # timed count and the stampings summed over the trees enumerated.
+    # timed count and the stampings summed over the trees enumerated, and
+    # the listing oracles give both counts.
     classes = connected_graphs_up_to_isomorphism(5)
     assert [len(classes[n]) for n in range(1, 6)] == [1, 1, 2, 6, 21]
     for edges in classes[5]:
@@ -1365,6 +1370,8 @@ def test_census_up_to_isomorphism():
             timed = len(list(enumerate_timed_trees(g, rule)))
             assert timed == count_timed_trees(g, rule)
             assert timed == sum(map(count_level_assignments, enumerate_trees(g, rule)))
+            assert timed == count_timed_by_listing(5, g.edges, rule)
+            assert count_trees(g, rule) == count_trees_by_listing(5, g.edges, rule)
 
 
 def test_census_of_six_vertex_graphs_up_to_isomorphism():
@@ -1392,6 +1399,16 @@ def test_census_of_six_vertex_graphs_up_to_isomorphism():
         streamed(Graph(6, edges), rule) for edges in classes for rule in ("connected", "edge")
     ]
     assert [sum(column) for column in zip(*totals)] == [152533, 432143]
+    # Each class under a seeded numbering of its vertices counts the same.
+    rng = random.Random(112)
+    relabelled = []
+    for edges in classes:
+        p = rng.sample(range(1, 7), 6)
+        g = Graph(6, [(p[u - 1], p[v - 1]) for u, v in edges])
+        relabelled += [
+            (count_trees(g, rule), count_timed_trees(g, rule)) for rule in ("connected", "edge")
+        ]
+    assert relabelled == totals
 
 
 def test_plain_counts_where_only_some_subsets_are_cliques():

@@ -223,6 +223,9 @@ def test_count_rejects_unanswerable_requests(capsys):
         (["count", "--family", "star", "--rule", "connected",
           "--method", "enumerate"], "--n"),
         (["count", "--family", "star", "--rule", "connected", "--n", "1"], "2 vertices"),
+        # trees refuses an n below the domain in count's words
+        (["trees", "--family", "cycle", "--rule", "connected", "--n", "2"],
+         "family cycle needs at least 3 vertices, got --n 2"),
         (["count", "--family", "custom", "--graph-file", "/no/such/file.json",
           "--rule", "connected"], "/no/such/file.json"),
     ]
