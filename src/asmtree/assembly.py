@@ -34,7 +34,10 @@ class, so K_n, one class, takes n - 1 sets of two or more vertices. Both
 counters and the enumerators take a set's connected first blocks from
 _first_blocks alone, and each counter sums over them in one loop, which
 weighs a canonical block by the blocks it stands for when the set holds
-twins to swap.
+twins to swap. A count does not depend on the labels but this work does,
+so both counters run on the graph peeled in smallest-last order
+(_peeled), where a set's lowest vertex lies in few connected blocks; the
+enumerators keep the caller's labels, and so their streams.
 The counters must agree with the enumerators wherever both run; `validate`
 is a separate code path against the definition so it can audit either.
 """
@@ -334,6 +337,31 @@ def _prepare(
     return g, 2 if rule is GluingRule.EDGE else g.n
 
 
+def _peeled(g: Graph) -> Graph:
+    """g relabelled in smallest-last order (Matula and Beck, J. ACM 30,
+    1983): vertex 1 has least degree, and each later vertex least degree
+    among the vertices not yet taken, counting only edges to them, ties
+    going to the lowest label. g itself when that order is the identity,
+    as on K_n and the natural P_n and C_n.
+
+    A count is invariant under relabelling, but the counters' work is
+    not: they sum, for every connected set, over the connected blocks
+    that hold its lowest vertex. A vertex taken early has few neighbours
+    among those after it, so as a set's lowest vertex it lies in few
+    blocks; a peeled path visits exactly its intervals."""
+    adj = g._adj
+    left = g.full_mask()
+    order = []
+    while left:
+        v = min(iter_bits(left), key=lambda v: (adj[v] & left).bit_count())
+        order.append(v)
+        left ^= 1 << (v - 1)
+    if order == list(range(1, g.n + 1)):
+        return g
+    label = {v: i for i, v in enumerate(order, 1)}
+    return Graph(g.n, ((label[u], label[v]) for u, v in g.edges))
+
+
 def enumerate_trees(
     g: Graph, rule: GluingRule | str, *, limit: int | None = None
 ) -> Iterator[AssemblyTree]:
@@ -413,11 +441,14 @@ def count_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = None) -
     components, so only connected subsets have first blocks to sum over
     (see _first_blocks). Sets that differ by swapping twins count the
     same, so only canonical sets are memoised: K_n, one twin class, and
-    every NONE count, which _prepare runs on K_n, enter n - 1 sets.
+    every NONE count, which _prepare runs on K_n, enter n - 1 sets. The
+    recursion runs on the graph peeled in smallest-last order (_peeled),
+    which counts the same and sums over fewer blocks.
     Agrees with len(list(enumerate_trees(...))) wherever enumeration is
     feasible and goes considerably further (default cap COUNTING_LIMIT).
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
+    g = _peeled(g)
     several = int(most > 2)
     memo = {1 << v: 1 for v in range(g.n)}  # a singleton has one tree
     memo[0] = 0  # so that a set is never its own first block
@@ -644,10 +675,12 @@ def count_timed_trees(g: Graph, rule: GluingRule | str, *, limit: int | None = N
     and a multichain is a strict chain of j steps with m - j idle steps
     put in, C(m, j) ways, which _gapless inverts. A chain has at most n -
     1 steps. The levels E_0..E_(n-1) of every vertex set come from one
-    memoized recursion over canonical subsets (see _multichains), as in
-    count_trees, so K_n enters n - 1 sets. Default cap COUNTING_LIMIT.
+    memoized recursion over canonical subsets (see _multichains) of the
+    peeled graph (_peeled), as in count_trees, so K_n enters n - 1 sets.
+    Default cap COUNTING_LIMIT.
     """
     g, most = _prepare(g, rule, limit, COUNTING_LIMIT)
+    g = _peeled(g)
     several = int(most > 2)
     n = g.n
     memo = {1 << v: (1,) * n for v in range(n)}  # one block at every level

@@ -46,11 +46,15 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         # n is checked before `edges` is read, so a builder that hands over a
-        # generator allocates nothing for a graph that is refused.
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        # generator allocates nothing for a graph that is refused. Types are
+        # checked exactly, as graph_from_json checks them: a bool is an int
+        # to isinstance, and would be kept and written out as given.
+        if type(n) is not int or not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be an int in 1..{MAX_VERTICES}, got {n!r}")
         canonical = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) must join two int vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):

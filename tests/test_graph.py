@@ -57,6 +57,16 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 2)])
 
 
+def test_graph_refuses_vertices_that_are_not_ints():
+    # A bool is an int to isinstance: kept as given, it was written out as
+    # [true,2], which graph_from_json refuses. Other types raised TypeError.
+    for n, edges in ((True, []), (3.0, []), ("3", []), (3, [(True, 2)]), (3, [(1, False)]),
+                     (3, [(1.0, 2)]), (3, [("1", 2)]), (3, [(1, None)])):
+        with pytest.raises(ValueError, match="int") as info:
+            Graph(n, edges)
+        assert "\n" not in str(info.value)
+
+
 def test_graph_accessors():
     g = path(4)
     assert g.vertices() == frozenset({1, 2, 3, 4})
