@@ -57,7 +57,6 @@ from .graph import (
     complete,
     component_mask,
     connected_mask,
-    crossing_mask,
     iter_bits,
     mask_vertices,
     vertex_mask,
@@ -76,7 +75,7 @@ class GluingRule(Enum):
     EDGE = "edge"
 
 
-_set = object.__setattr__
+_new, _set = object.__new__, object.__setattr__
 
 
 class AssemblyTree:
@@ -794,14 +793,18 @@ def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list
     is built only when that error is found.
     """
     rule = GluingRule(rule)
+    connected, edge = rule is GluingRule.CONNECTED, rule is GluingRule.EDGE
     errors: list[str] = []
-    nodes = list(t.walk())
     timed = t.time is not None
     universe = g.vertices()
 
     if t.label != universe:
         errors.append(f"root: label {_set_str(t.label)} is not the full vertex set")
-    mixed = [node for node in nodes if (node.time is not None) != timed]
+    nodes, stack = [], [t]
+    while stack:  # preorder, as t.walk() lists it
+        nodes.append(node := stack.pop())
+        stack += node.children[::-1]
+    mixed = [node for node in nodes if (node.time is None) is timed]
     for node in mixed:
         errors.append(f"node {_set_str(node.label)}: timed and untimed nodes mix")
     # The time checks below compare times, so they need one on every node.
@@ -832,18 +835,21 @@ def validation_errors(g: Graph, t: AssemblyTree, rule: GluingRule | str) -> list
             errors.append(f"node {_set_str(label)}: label is not the union of its children")
         if len(union) != sum(map(len, labels)):
             errors.append(f"node {_set_str(label)}: children labels overlap")
-        if rule is GluingRule.CONNECTED and len(label) >= 2 and union and union <= universe:
-            if not connected_mask(g, vertex_mask(label)):
+        if connected and len(label) >= 2 and union and union <= universe:
+            if component_mask(g, mask := vertex_mask(label)) != mask:
                 errors.append(
                     f"node {_set_str(label)}: label does not induce a connected subgraph"
                 )
-        if rule is GluingRule.EDGE:
+        if edge:
             if len(kids) != 2:
                 errors.append(f"node {_set_str(label)}: edge rule requires exactly two children")
             else:
                 a, b = labels
-                if a and b and not a & b and a | b <= universe:
-                    if not crossing_mask(g, vertex_mask(a), vertex_mask(b)):
+                if a and b and not a & b and union <= universe:
+                    reach = 0
+                    for v in a:
+                        reach |= g._adj[v]
+                    if not reach & vertex_mask(b):
                         errors.append(
                             f"node {_set_str(label)}: no edge joins {_set_str(a)} and {_set_str(b)}"
                         )
@@ -903,18 +909,29 @@ def _node_from_dict(d: object, timed: bool, depth: int) -> AssemblyTree:
         raise ValueError(f"tree nests deeper than {MAX_VERTICES - 1} levels")
     raw_label = d.get("label")
     # Exact types, not isinstance: JSON true and false load as bools,
-    # which are ints to isinstance.
-    if not isinstance(raw_label, list) or not {*map(type, raw_label)} <= {int}:
-        raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
+    # which are ints to isinstance. A label that is no list fails as [None].
+    for v in raw_label if isinstance(raw_label, list) else (None,):
+        if type(v) is not int:
+            raise ValueError(f'node needs a "label" list of ints, got {raw_label!r}')
+    label = frozenset(raw_label)
+    if len(label) != len(raw_label):
+        raise ValueError(f"node label lists a vertex twice, got {raw_label!r}")
     if ("time" in d) != timed:
         raise ValueError("mixed timed and untimed nodes")
     raw_children = d.get("children", [])
     if not isinstance(raw_children, list):
         raise ValueError('"children" must be a list')
-    kids = tuple([_node_from_dict(c, timed, depth + 1) for c in raw_children])
-    if timed and type(d["time"]) is not int:
-        raise ValueError(f'"time" must be an int, got {d["time"]!r}')
-    return AssemblyTree(frozenset(raw_label), kids, d.get("time"))  # type: ignore[arg-type]
+    kids = []
+    for child in raw_children:
+        kids.append(_node_from_dict(child, timed, depth + 1))
+    time = d.get("time")
+    if timed and type(time) is not int:
+        raise ValueError(f'"time" must be an int, got {time!r}')
+    node = _new(AssemblyTree)  # built as __init__ builds it, without its frame
+    _set(node, "label", label)
+    _set(node, "children", tuple(kids))
+    _set(node, "time", time)
+    return node
 
 
 def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
@@ -932,11 +949,12 @@ def serialize_tree(t: AssemblyTree, fmt: str = "json") -> str:
 
 
 def _to_json(t: AssemblyTree) -> str:
-    label = ",".join(map(str, sorted(t.label)))
-    kids = ",".join([_to_json(c) for c in t.children])
-    if t.time is None:
-        return f'{{"label":[{label}],"children":[{kids}]}}'
-    return f'{{"label":[{label}],"time":{t.time},"children":[{kids}]}}'
+    time = "" if t.time is None else f',"time":{t.time}'
+    if t.children or len(t.label) != 1:
+        label = ",".join(map(str, sorted(t.label)))
+        return f'{{"label":[{label}]{time},"children":[{",".join(map(_to_json, t.children))}]}}'
+    (v,) = t.label  # a leaf, written from its one vertex, with no sort or join
+    return f'{{"label":[{v}]{time},"children":[]}}'
 
 
 def parse_tree(text: str) -> AssemblyTree:

@@ -272,6 +272,8 @@ def _load_cache() -> dict[str, str]:
 
 
 def _store_cache(key: str, value: str) -> None:
+    import fcntl
+
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / CACHE_FILE
@@ -283,8 +285,11 @@ def _store_cache(key: str, value: str) -> None:
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         # A store cut short leaves a last line with no newline; start a new
-        # line, or this one would join it and be skipped with it. A stray
-        # empty line, if another writer did the same, is skipped as damage.
+        # line, or this one would join it and be skipped with it. Writers
+        # take turns under the lock, so the last byte read is the last one
+        # written: without it, a writer could read the size of another's
+        # line before the line itself, and start a stray empty line.
+        fcntl.flock(fd, fcntl.LOCK_EX)
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             line = b"\n" + line

@@ -8,7 +8,7 @@ import random
 import re
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1392,6 +1392,7 @@ def labelled_connected_graphs(n):
             yield Graph(n, edges)
 
 
+@pytest.mark.census
 def test_census_of_small_connected_graphs():
     # Every labelled connected graph on at most 5 vertices (OEIS A001187),
     # under every rule: the count is the number of trees enumerated, and up
@@ -1437,6 +1438,7 @@ def connected_graphs_up_to_isomorphism(most):
     return classes
 
 
+@pytest.mark.census
 def test_census_up_to_isomorphism():
     # One graph of each connected class on 1..5 vertices (OEIS A001349).
     # On 5 vertices, under every rule, the timed trees enumerated are the
@@ -1454,6 +1456,7 @@ def test_census_up_to_isomorphism():
             assert count_trees(g, rule) == count_trees_by_listing(5, g.edges, rule)
 
 
+@pytest.mark.census
 def test_census_of_six_vertex_graphs_up_to_isomorphism():
     # One graph of each of the 112 connected classes on 6 vertices (OEIS
     # A001349), under `connected` and `edge`: the trees enumerated are the
@@ -1588,6 +1591,7 @@ def test_counters_and_enumerators_leave_no_garbage_cycles():
     # collector next runs: no call leaves a reference cycle behind.
     timed = next(enumerate_timed_trees(cycle(5), "connected"))
     text = serialize_tree(timed)
+    faulty = AssemblyTree(frozenset({1, 2, 3}), (leaf(1), timed_leaf(3)), 1)
     calls = [
         lambda: count_trees(cycle(10), "connected"),
         lambda: count_trees(cycle(10), "edge"),
@@ -1599,7 +1603,12 @@ def test_counters_and_enumerators_leave_no_garbage_cycles():
         lambda: list(enumerate_timed_trees(cycle(5), "connected")),
         lambda: next(enumerate_timed_trees(complete(6), "connected")),
         lambda: parse_tree(text),
+        lambda: tree_from_dict(json.loads(text)),
+        lambda: serialize_tree(timed),
         lambda: serialize_tree(timed, "dot"),
+        lambda: validate(cycle(5), timed, "connected"),
+        lambda: validate(cycle(5), timed, "edge"),
+        lambda: validation_errors(path(3), faulty, "edge"),
         lambda: frontier_partition(timed, 1),
     ]
     gc.collect()
@@ -1721,6 +1730,45 @@ def test_parse_tree_rejects_malformed_input():
     for text, message in bad:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_tree(text)
+
+
+def test_parse_tree_refuses_a_vertex_listed_twice():
+    # Read as a set, [1, 1] was once the leaf {1}, so the first text parsed
+    # to the valid P2 tree and passed validate. The check follows the
+    # label's type check, so a bool is still named as one.
+    leaves = '{"label":[1],"children":[]},{"label":[2],"children":[]}'
+    bad = [
+        ('{"label":[1,2,2],"children":[{"label":[1,1],"children":[]},{"label":[2],"children":[]}]}',
+         "[1, 2, 2]"),
+        ('{"label":[1,2],"children":[{"label":[1,1],"children":[]},{"label":[2],"children":[]}]}',
+         "[1, 1]"),
+        ('{"label":[1,2],"time":1,"children":[{"label":[1],"time":0,"children":[]},'
+         '{"label":[2,2],"time":0,"children":[]}]}', "[2, 2]"),
+        # before the check that the node's timed-ness matches the root's
+        ('{"label":[1,2],"time":1,"children":[{"label":[1,1],"children":[]},'
+         '{"label":[2],"time":0,"children":[]}]}', "[1, 1]"),
+    ]
+    for text, label in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'node label lists a vertex twice, got {label}')}$"):
+            parse_tree(text)
+    with pytest.raises(ValueError, match=r"^node label lists a vertex twice, got \[3, 3\]$"):
+        tree_from_dict({"label": [3, 3], "children": []})
+    with pytest.raises(ValueError, match=r'^node needs a "label" list of ints, got \[1, True\]$'):
+        parse_tree('{"label":[1,true],"children":[' + leaves + "]}")
+
+
+def test_tree_from_dict_takes_dict_subclasses_and_only_lists():
+    # Nodes are read with isinstance(d, dict), so an OrderedDict is a
+    # node; a label and the children must be lists, not tuples.
+    node = OrderedDict(label=[1, 2], children=[OrderedDict(label=[1]), {"label": [2], "children": []}])
+    assert tree_from_dict(node) == branch([leaf(1), leaf(2)])
+    stamped = OrderedDict(label=[1, 2], time=1, children=[OrderedDict(label=[1], time=0, children=[]),
+                                                         {"label": [2], "time": 0, "children": []}])
+    assert tree_from_dict(stamped) == timed_branch([timed_leaf(1), timed_leaf(2)], 1)
+    with pytest.raises(ValueError, match=r'^node needs a "label" list of ints, got \(1,\)$'):
+        tree_from_dict({"label": (1,), "children": []})
+    with pytest.raises(ValueError, match='^"children" must be a list$'):
+        tree_from_dict({"label": [1, 2], "children": ({"label": [1]}, {"label": [2]})})
 
 
 def test_parse_tree_takes_the_deepest_trees():
