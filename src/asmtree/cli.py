@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import __version__, formulas
 from .combinat import factorial
@@ -61,9 +61,9 @@ RULES = ("none", "connected", "edge")  # the values of assembly.GluingRule
 SERIES_SELECTORS = (*_SERIES, "td-path-funceq")
 CACHE_FILE = "counts.txt"
 # The largest n a closed form is evaluated at. The forms memoise every
-# smaller value, and those on Stirling numbers keep whole rows, so memory
-# grows as n**3: at n = 1000 each form takes at most about 20 s and
-# 220 MiB, at n = 2500 the star form takes 3.3 GiB.
+# smaller value; at n = 1000 each takes at most about 17 s and 15 MiB, but
+# for td_connected_complete, whose Stirling rows grow as n**3: 212 MiB at
+# n = 1000, 406 MiB at n = 1250.
 FORMULA_LIMIT = 1000
 
 
@@ -181,38 +181,54 @@ def run() -> None:
     sys.exit(main())
 
 
-def _parse_legs(raw: str | None) -> list[int]:
-    if not raw:
-        raise ValueError("--legs is required for family caterpillar")
-    try:
-        legs = [int(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise ValueError(f"--legs must be comma-separated integers, got {raw!r}") from None
-    return legs
-
-
-def _build_graph(args: argparse.Namespace) -> Graph:
-    from . import graph
-
-    if args.family == "custom":
+def _read_graph(args: argparse.Namespace) -> tuple[Callable[[], str], Callable[[], Graph]]:
+    """Read --n, --legs or --graph-file once, refusing what cannot be read
+    and an n below the family's domain. Returns two functions: the graph's
+    part of the cache key, and a builder of the graph. A custom graph is
+    read here, so that `count` refuses a bad file before the cache is read;
+    its digest (hashlib loads OpenSSL, which `trees` does not need), every
+    other graph and the `graph` module wait until called."""
+    family = args.family
+    if family == "custom":
         if not args.graph_file:
             raise ValueError("--graph-file is required for family custom")
-        return graph.graph_from_json(Path(args.graph_file).read_text())
-    if args.family == "caterpillar":
-        legs = _parse_legs(args.legs)
-        return graph.caterpillar(len(legs), legs)
-    return getattr(graph, args.family)(_required_n(args))
+        from . import graph
 
+        g = graph.graph_from_json(Path(args.graph_file).read_text())
 
-def _required_n(args: argparse.Namespace) -> int:
-    """The --n of a sequence family, refused below the family's domain."""
-    if args.n is None:
-        raise ValueError(f"--n is required for family {args.family}")
-    min_n = _SEQUENCES[args.family]
-    if args.n < min_n:
-        vertices = "1 vertex" if min_n == 1 else f"{min_n} vertices"
-        raise ValueError(f"family {args.family} needs at least {vertices}, got --n {args.n}")
-    return args.n
+        def key() -> str:
+            import hashlib
+
+            digest = hashlib.sha256(graph.graph_to_json(g).encode()).hexdigest()
+            return f"graph={digest[:16]}"
+
+        return key, lambda: g
+    if family == "caterpillar":
+        if not args.legs:
+            raise ValueError("--legs is required for family caterpillar")
+        try:
+            legs = [int(tok) for tok in args.legs.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--legs must be comma-separated integers, got {args.legs!r}"
+            ) from None
+        # The key names the parsed legs, so every spelling of them is one entry.
+        part, build_args = "legs=" + ",".join(map(str, legs)), (len(legs), legs)
+    else:
+        if args.n is None:
+            raise ValueError(f"--n is required for family {family}")
+        min_n = _SEQUENCES[family]
+        if args.n < min_n:
+            vertices = "1 vertex" if min_n == 1 else f"{min_n} vertices"
+            raise ValueError(f"family {family} needs at least {vertices}, got --n {args.n}")
+        part, build_args = f"n={args.n}", (args.n,)
+
+    def build() -> Graph:
+        from . import graph
+
+        return getattr(graph, family)(*build_args)
+
+    return lambda: part, build
 
 
 def _oracle_count(g: Graph, rule: str, timed: bool) -> int:
@@ -221,30 +237,6 @@ def _oracle_count(g: Graph, rule: str, timed: bool) -> int:
     if timed:
         return assembly.count_timed_trees(g, rule)
     return assembly.count_trees(g, rule)
-
-
-def _request_key(args: argparse.Namespace, method: str, g: Graph | None) -> str:
-    """The cache key of a count request; `g` is the graph of family custom."""
-    parts = [
-        "count",
-        f"version={__version__}",  # a new version reads no older entry
-        f"family={args.family}",
-        f"rule={args.rule}",
-        f"timed={int(args.timed)}",
-        f"method={method}",
-    ]
-    if args.family == "caterpillar":
-        parts.append(f"legs={args.legs}")
-    elif args.family == "custom":
-        import hashlib
-
-        from . import graph
-
-        digest = hashlib.sha256(graph.graph_to_json(g).encode()).hexdigest()[:16]
-        parts.append(f"graph={digest}")
-    else:
-        parts.append(f"n={args.n}")
-    return " ".join(parts)
 
 
 def _cache_dir() -> Path:
@@ -318,14 +310,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
     method = args.method or ("enumerate" if entry is None else "formula")
     if method != "enumerate" and entry is None:
         raise _no_closed_form(args, "; use --method enumerate")
-    if args.family in _SEQUENCES:
-        # Every method refuses an n below the family's domain, before a
-        # closed form runs or the cache is read.
-        _required_n(args)
-
-    # A custom graph is read once; its canonical form is part of the key.
-    g = _build_graph(args) if args.family == "custom" else None
-    key = _request_key(args, method, g)
+    # Every method refuses graph arguments it cannot read, and an n below
+    # the family's domain, before a closed form runs or the cache is read.
+    graph_key, build = _read_graph(args)
+    # The version is in the key, so a new version reads no older entry.
+    key = (
+        f"count version={__version__} family={args.family} rule={args.rule} "
+        f"timed={int(args.timed)} method={method} {graph_key()}"
+    )
     if not args.no_cache:
         cached = _load_cache().get(key)
         if cached is not None:
@@ -338,9 +330,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _check_formula_n(args.n)
         formula_value = entry.fn(args.n)
     if method in ("enumerate", "both"):
-        if g is None:
-            g = _build_graph(args)
-        oracle_value = _oracle_count(g, args.rule, args.timed)
+        oracle_value = _oracle_count(build(), args.rule, args.timed)
 
     if method == "both" and formula_value != oracle_value:
         print(f"formula={formula_value}")
@@ -412,11 +402,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_trees(args: argparse.Namespace) -> int:
     from . import assembly
 
-    g = _build_graph(args)
+    _, build = _read_graph(args)
     if args.timed:
-        stream: Iterable = assembly.enumerate_timed_trees(g, args.rule)
+        stream: Iterable = assembly.enumerate_timed_trees(build(), args.rule)
     else:
-        stream = assembly.enumerate_trees(g, args.rule)
+        stream = assembly.enumerate_trees(build(), args.rule)
     for t in stream:
         print(assembly.serialize_tree(t, args.format))
     return 0

@@ -7,7 +7,9 @@ results are plain ints. Each recursive count takes the first decision (the
 root's child holding vertex 1, or the first time step), counts the ways to
 make it, and recurses on a smaller member of the same family: one memoised
 recurrence, `_recurrence`, serves them all and fills from small n upward,
-so the stack depth does not grow with n.
+so the stack depth does not grow with n. The Fubini numbers are the timed
+path's recurrence, so `fubini` and both connected star forms read its
+memo, and only `td_connected_complete` keeps Stirling rows.
 
 Naming: the count for a star or path on n vertices takes n as written on
 the graph. The one- and two-vertex cycles and the one-vertex complete
@@ -17,7 +19,7 @@ constructible graphs.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -27,28 +29,6 @@ from .combinat import (
     memo_upward,
     stirling2,
 )
-
-
-@lru_cache(maxsize=None)
-def fubini(n: int) -> int:
-    """Ordered set partitions of an n-set, with fubini(0) == 1."""
-    if n < 0:
-        raise ValueError(f"fubini is undefined for n={n}")
-    if n == 0:
-        return 1
-    return sum(factorial(k) * stirling2(n, k) for k in range(1, n + 1))
-
-
-def connected_star(total: int) -> int:
-    """Connected-rule assembly trees of the star on `total` vertices.
-
-    Each tree orders the leaves into the groups that join the center
-    together, so the count is the ordered-set-partition number of the
-    leaf set: fubini(total - 1).
-    """
-    if total < 2:
-        raise ValueError("stars need at least 2 vertices")
-    return fubini(total - 1)
 
 
 def _recurrence(weight: Callable[[int, int], int]) -> Callable[[int], int]:
@@ -141,18 +121,40 @@ def connected_complete(n: int, k: int) -> int:
     return binomial(n - 1, k - 1) * _forests(connected_complete, n - k)
 
 
+@_recurrence
+def td_connected_path(n: int, j: int) -> int:
+    """Timed connected-rule trees of the path on n vertices: the first time
+    step merges across n - j of the n - 1 gaps between neighbours, C(n - 1,
+    n - j) ways, leaving the path P_j. These are the ordered set partitions
+    of the gaps, fubini(n - 1)."""
+    return binomial(n - 1, n - j)
+
+
+def fubini(n: int) -> int:
+    """Ordered set partitions of an n-set, with fubini(0) == 1: the timed
+    trees of the path on n + 1 vertices, whose n gaps the time steps
+    partition in order."""
+    if n < 0:
+        raise ValueError(f"fubini is undefined for n={n}")
+    return td_connected_path(n + 1)
+
+
+def connected_star(total: int) -> int:
+    """Connected-rule assembly trees of the star on `total` vertices.
+
+    Each tree orders the leaves into the groups that join the center
+    together, so the count is the ordered-set-partition number of the
+    leaf set: fubini(total - 1), the timed trees of the path on `total`
+    vertices.
+    """
+    if total < 2:
+        raise ValueError("stars need at least 2 vertices")
+    return td_connected_path(total)
+
+
 # Timed connected-rule trees of the star: time steps order the leaf groups
 # as the plain trees already do, so timing adds nothing on a star.
 td_connected_star = connected_star
-
-
-def td_connected_path(n: int) -> int:
-    """Timed connected-rule trees of the path on n vertices: the interval
-    merges performed at each time step order a set partition of the n - 1
-    gaps, giving fubini(n - 1)."""
-    if n < 1:
-        raise ValueError("paths need at least 1 vertex")
-    return fubini(n - 1)
 
 
 @_recurrence

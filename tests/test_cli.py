@@ -219,7 +219,7 @@ def test_count_rejects_unanswerable_requests(capsys):
         (["count", "--family", "caterpillar", "--legs", "1,x",
           "--rule", "connected"], "--legs"),
         (["count", "--family", "path", "--rule", "connected"], "--n"),
-        # refused by _build_graph, since no closed form is consulted
+        # refused by cli._read_graph, since no closed form is consulted
         (["count", "--family", "star", "--rule", "connected",
           "--method", "enumerate"], "--n"),
         (["count", "--family", "star", "--rule", "connected", "--n", "1"], "2 vertices"),
@@ -558,6 +558,24 @@ def test_concurrent_counts_lose_no_cache_entry(isolated_env):
     assert len(entries) == 600
     assert entries == expected
     assert [p.name for p in (isolated_env / "cache").iterdir()] == ["counts.txt"]
+
+
+def test_every_spelling_of_a_caterpillar_is_one_cache_entry(capsys, isolated_env):
+    # The key names the parsed legs, so no spelling adds an entry, and none
+    # carries a newline or tab into the file.
+    for legs in ("1,1", " 1,1", "01,1", "1,1\n", "1,\t1"):
+        code, out, err = run_cli(
+            capsys, "count", "--family", "caterpillar", "--legs", legs,
+            "--rule", "connected", "--no-banner",
+        )
+        assert (code, out, err) == (0, "11\n", "")
+    assert list(cli._load_cache()) == [
+        "count version=0.1.0 family=caterpillar rule=connected timed=0 "
+        "method=enumerate legs=1,1"
+    ]
+    for line in (isolated_env / "cache" / "counts.txt").read_text().split("\n")[:-1]:
+        key, value = line.split("\t")
+        assert key and value.isascii() and value.isdigit()
 
 
 def test_cache_is_transparent(capsys, isolated_env):

@@ -10,7 +10,7 @@ from asmtree.assembly import (
     enumerate_trees,
     frontier_partition,
 )
-from asmtree.combinat import factorial
+from asmtree.combinat import factorial, stirling2
 from asmtree.formulas import (
     connected_complete,
     connected_cycle,
@@ -112,6 +112,14 @@ def test_complete_values():
 def test_fubini_against_listing():
     for n in range(7):
         assert fubini(n) == fubini_by_listing(n)
+
+
+def test_fubini_is_the_sum_over_block_counts():
+    # An ordered partition into k blocks is a set partition into k blocks,
+    # stirling2(n, k) of them, in one of the k! orders of its blocks; only
+    # the empty set has a partition into no blocks.
+    for n in range(151):
+        assert fubini(n) == sum(factorial(k) * stirling2(n, k) for k in range(n + 1))
 
 
 def test_super_catalan_against_listing():
@@ -280,6 +288,10 @@ def test_memoized_functions_survive_cache_clears():
     warm = [connected_complete(n) for n in range(1, 8)]
     connected_complete.cache_clear()
     assert [connected_complete(n) for n in range(1, 8)] == warm
+
+    warm = [td_connected_path(n) for n in range(1, 12)]
+    td_connected_path.cache_clear()
+    assert [td_connected_path(n) for n in range(1, 12)] == warm
 
 
 def test_domain_errors():
